@@ -8,12 +8,12 @@ process, one caller, closed loop: each call starts after the previous
 one returns.  The run
 
 1. checks that the checkers work (checks.self_test),
-2. repeats rounds of the workload until they add up to --seconds (at
-   least two rounds), and between them times the set-up in five fresh
-   processes (`setup_s`, the median),
-3. with --trace 1, runs a fixed number of extra rounds with every layer
+2. times the set-up in nine fresh processes (`setup_s`, the median),
+3. repeats rounds of the workload back to back until they add up to
+   --seconds (at least two rounds; `round_s`, the median),
+4. with --trace 1, runs a fixed number of extra rounds with every layer
    wrapped, and reports per-layer self times and counts per round,
-4. checks the outputs, outside the timed region.
+5. checks the outputs, outside the timed region.
 
 It prints a JSON report (environment, every named figure with its unit
 and sample count, every check) and, as the last line, the result object
@@ -30,10 +30,10 @@ import json
 import os
 import platform
 import resource
-import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,7 +41,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-SETUP_PROBES = 5
+SETUP_PROBES = 9
 CLI_STARTUP_PROBES = 3
 MIN_ROUNDS = 2
 
@@ -52,15 +52,13 @@ def nproc() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def cap_blas_threads() -> None:
-    """One BLAS thread unless OPENBLAS_NUM_THREADS asks for 1..nproc.
+def pin_blas_threads() -> None:
+    """One BLAS thread, always.
 
     The library's matrices are at most 7 wide, so a second BLAS thread
     buys nothing here but adds scheduling noise.  Must run before numpy
     is imported; child processes inherit the setting."""
-    cur = os.environ.get("OPENBLAS_NUM_THREADS", "")
-    if not cur.isdigit() or not 1 <= int(cur) <= nproc():
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 
 def blas_threads() -> dict:
@@ -83,22 +81,14 @@ def blas_threads() -> dict:
 
 
 def git_sha() -> str | None:
-    """HEAD of the checkout, read from .git without running git (the
-    benchmark may run in a copy that is not a repository)."""
-    git = ROOT / ".git"
+    """HEAD of the checkout, or None if it is not a git repository (git
+    is kept from looking above it)."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env, capture_output=True, text=True)
     except OSError:
-        pass
-    return None
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def src_digest() -> str:
@@ -159,16 +149,11 @@ def setup_time(args) -> dict:
     return json.loads(python_child(argv))
 
 
-def timed_rounds(wl, args) -> tuple:
-    """Rounds until they add up to --seconds (at least MIN_ROUNDS), with
-    the set-up probes spread evenly between them.  The machine's speed
-    drifts over tens of seconds; spreading the probes over the run lets
-    setup_s average over that drift as round_s does."""
-    rounds, setups = [], []
-    busy = 0.0
+def timed_rounds(wl, args) -> list:
+    """Rounds back to back until they add up to --seconds (at least
+    MIN_ROUNDS)."""
+    rounds, busy = [], 0.0
     while len(rounds) < MIN_ROUNDS or busy < args.seconds:
-        if len(setups) < SETUP_PROBES and busy >= len(setups) * args.seconds / SETUP_PROBES:
-            setups.append(setup_time(args))
         # the library leaves reference cycles holding large arrays;
         # collecting them here makes every round start from the same
         # state, so the memory peak does not depend on the round count
@@ -177,9 +162,7 @@ def timed_rounds(wl, args) -> tuple:
         wl.round()
         rounds.append(time.perf_counter() - t)
         busy += rounds[-1]
-    while len(setups) < SETUP_PROBES:
-        setups.append(setup_time(args))
-    return rounds, setups
+    return rounds
 
 
 def cli_startup_times() -> list:
@@ -199,11 +182,11 @@ def run(args) -> int:
 
     wl = workloads.make(args.workload)
     wl.setup(args.seed)
-    work_dir = ROOT / ".bench_work" / str(os.getpid())
-    work_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        wl.prepare(args.seed, work_dir)
-        rounds, setups = timed_rounds(wl, args)
+    # inside the checkout, which is the only place the benchmark writes
+    with tempfile.TemporaryDirectory(prefix=".bench_work-", dir=ROOT) as work_dir:
+        wl.prepare(args.seed, Path(work_dir))
+        setups = [setup_time(args) for _ in range(SETUP_PROBES)]
+        rounds = timed_rounds(wl, args)
         report = wl.report()
         layers = None
         if args.trace:
@@ -221,31 +204,34 @@ def run(args) -> int:
             layers["cli.startup_s"] = statistics.median(cli_startup_times()) if wl.has_cli else 0.0
             report["trace"] = {"rounds": wl.trace_rounds, "traced_round_s": traced}
         results = wl.check(args.seed)
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
-        if work_dir.parent.is_dir() and not any(work_dir.parent.iterdir()):
-            work_dir.parent.rmdir()
 
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     setup_s = statistics.median(s["setup_s"] for s in setups)
     round_s = statistics.median(rounds)
 
-    # wrong_rate and fail_rate cover the timed calls and the scale sweep;
-    # the result line counts the timed calls only
+    # wrong_rate and fail_rate cover one round and the scale sweep, so
+    # they do not depend on how many rounds fit into --seconds.  The
+    # result line counts every call and sweep row; of the sweep it counts
+    # as failed only the rows outside the library's known defect.
     checked = sum(c.detail.get("rows", 0) for c in results)
     wrong = sum(c.detail.get("bad", 0) for c in results)
+    n_rounds = len(rounds) + (wl.trace_rounds if args.trace else 0)
+    round_attempted, round_failed = wl.attempted / n_rounds, wl.failed / n_rounds
     attempted, failed = wl.attempted, wl.failed
-    sweep = getattr(wl, "sweep", None)
+    sweep = wl.sweep
     if sweep is not None:
         checked += sweep.rows_checked
         wrong += sweep.rows_wrong
+        round_attempted += sweep.rows_attempted
+        round_failed += sweep.rows_failed
+        attempted += sweep.rows_attempted
+        failed += sweep.unexpected_bad
         report["scale_sweep"] = {
             "wrong_rate": {"value": sweep.wrong_rate, "wrong": sweep.rows_wrong, "checked": sweep.rows_checked},
             "fail_rate": {"value": sweep.fail_rate, "failed": sweep.rows_failed, "attempted": sweep.rows_attempted},
+            "unexpected_bad": sweep.unexpected_bad,
             "decades": sweep.decades,
         }
-    all_attempted = attempted + (sweep.rows_attempted if sweep else 0)
-    all_failed = failed + (sweep.rows_failed if sweep else 0)
 
     report.update(
         environment=environment(args),
@@ -253,7 +239,7 @@ def run(args) -> int:
         round_s=dict(workloads.timing_summary(rounds), unit="s", samples=rounds),
         peak_rss_mb={"value": peak_rss_mb, "unit": "MB"},
         wrong_rate={"value": wrong / checked if checked else 0.0, "wrong": wrong, "checked": checked},
-        fail_rate={"value": all_failed / all_attempted, "failed": all_failed, "attempted": all_attempted},
+        fail_rate={"value": round_failed / round_attempted, "failed": round_failed, "attempted": round_attempted},
         checks=[{"name": c.name, "ok": bool(c.ok), **c.detail} for c in results],
     )
     if layers is not None:
@@ -279,7 +265,7 @@ def main(argv=None) -> int:
     if not (SRC / "nilmetric" / "__init__.py").is_file():
         print(f"error: the library source is missing ({SRC / 'nilmetric'}); run from a checkout", file=sys.stderr)
         return 2
-    cap_blas_threads()
+    pin_blas_threads()
     sys.path.insert(0, str(SRC))
     if args.setup_probe:
         return probe_setup(args)

@@ -178,11 +178,11 @@ class EvalWorkload:
             with np.errstate(all="ignore"):
                 self.sweep = checks.scale_sweep(
                     d.point, self.sweep_U, np.diag(d.A), inputs.SWEEP_EXPONENTS,
-                    inputs.SWEEP_GATED, LIBRARY_FAILURES,
+                    inputs.SWEEP_KNOWN_DEFECT, LIBRARY_FAILURES,
                 )
             out.append(checks.Check(
-                "heisenberg.scale_sweep_gated", self.sweep.gated_bad == 0,
-                {"exponents": f"|e| <= {inputs.SWEEP_GATED}", "bad_rows": self.sweep.gated_bad},
+                "heisenberg.scale_sweep", self.sweep.unexpected_bad == 0,
+                {"known_defect": inputs.SWEEP_KNOWN_DEFECT, "unexpected_bad_rows": self.sweep.unexpected_bad},
             ))
         return out
 
