@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import LieAlgebra, check_automorphism, check_derivation
 from .exact import to_float
@@ -29,8 +30,10 @@ from .metric import (
     NumericFailure,
     averaged_distance,
     bilipschitz_constants,
+    common_period,
     compact_closure_samples,
     sup_distance,
+    torus_grid_mats,
 )
 from .spectral import generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
 
@@ -278,23 +281,14 @@ def add_compact_part(
         return averaged_distance(d, [np.eye(g.dim)])
     # The closure of {exp(t K)} is a circle when one period T makes every
     # T * angle an integer multiple of 2 pi; sample it exactly then.
-    import scipy.linalg
-
-    base = angles[0]
-    for q in range(1, 4097):
-        T = 2 * math.pi * q / base
-        winds = [T * a / (2 * math.pi) for a in angles]
-        if all(abs(w - round(w)) < 1e-9 for w in winds):
-            count = min(max(grid_per_angle, grid_per_angle * q), 4096)
-            ts = np.linspace(0.0, T, count, endpoint=False)
-            mats = [scipy.linalg.expm(t * Kf) for t in ts]
-            return averaged_distance(d, mats)
+    q = common_period(np.array(angles) / angles[0], 4096, 1e-9)
+    if q is not None:
+        T = 2 * math.pi * q / angles[0]
+        ts = np.linspace(0.0, T, min(grid_per_angle * q, 4096), endpoint=False)
+        return averaged_distance(d, [scipy.linalg.expm(t * Kf) for t in ts])
     # rationally independent angles: product torus grid over the spectral basis
-    from .metric import torus_grid_mats
-
-    view = AlgebraView.of(g)
     generic = scipy.linalg.expm(Kf)  # same eigenvectors, angles = Im spectrum
     mats, _ = torus_grid_mats(
-        generalized_eigenspaces(generic), grid_per_angle, view
+        generalized_eigenspaces(generic), grid_per_angle, AlgebraView.of(g)
     )
     return averaged_distance(d, mats)

@@ -48,6 +48,7 @@ WEIGHT_TOL = 1e-7
 class Layer:
     weight: float
     basis: np.ndarray  # (n, k) real, orthonormal columns
+    core: np.ndarray  # (n, j) real orthonormal basis of the eigenvectors in V_t
 
     @property
     def dim(self) -> int:
@@ -56,8 +57,9 @@ class Layer:
 
 @dataclass(frozen=True, eq=False)
 class Grading:
-    layers: tuple[Layer, ...]
+    layers: tuple[Layer, ...]  # ascending weights
     source: tuple  # ("derivation", A) or ("automorphism", phi, lam)
+    spec: SpectralData  # the clusters of the source matrix the layers group
     det_residual: float | None = None  # |det phi| vs lam^Q check, automorphism case
 
     @property
@@ -113,16 +115,12 @@ class ExistenceVerdict:
         }
 
 
-def _real_layer_basis(clusters, n: int) -> np.ndarray:
-    """Orthonormal real basis of the real form of a conjugation-closed
-    family of generalized eigenspaces."""
-    dim_real = sum(c.multiplicity for c in clusters)
-    cols = []
-    for c in clusters:
-        cols.append(c.basis.real)
-        cols.append(c.basis.imag)
-    stack = np.hstack(cols)
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
+def _real_basis(blocks: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal real basis of the real form of the span of a
+    conjugation-closed family of complex column blocks."""
+    cols = np.hstack(blocks)
+    dim_real = cols.shape[1]
+    U, s, _ = np.linalg.svd(np.hstack([cols.real, cols.imag]), full_matrices=False)
     if s.size < dim_real or (dim_real > 0 and s[dim_real - 1] < 1e-9):
         raise RuntimeError(
             "real form of an eigenspace family has deficient dimension; "
@@ -131,34 +129,51 @@ def _real_layer_basis(clusters, n: int) -> np.ndarray:
     return U[:, :dim_real]
 
 
-def _group_weights(pairs, tol: float):
-    """Transitive-closure grouping of (weight, cluster) pairs by weight."""
+def _layers(M: np.ndarray, spec: SpectralData, weight_of, weight_tol: float):
+    """Clusters of M grouped by weight_of(cluster) (transitive closure
+    within weight_tol), each group's real generalized eigenspace and the
+    real span of its eigenvectors, the diagonalizable core."""
+    n = M.shape[0]
+    scale = max(1.0, float(np.linalg.norm(M, 2)))
     groups: list[list] = []
-    for w, c in sorted(pairs, key=lambda p: p[0]):
-        if groups and abs(w - groups[-1][-1][0]) <= tol:
+    for w, c in sorted(((weight_of(c), c) for c in spec.clusters), key=lambda p: p[0]):
+        if groups and abs(w - groups[-1][-1][0]) <= weight_tol:
             groups[-1].append((w, c))
         else:
             groups.append([(w, c)])
-    return groups
+    layers = []
+    for grp in groups:
+        clusters = [c for _, c in grp]
+        weight = sum(w * c.multiplicity for w, c in grp) / sum(
+            c.multiplicity for c in clusters
+        )
+        core = []
+        for c in clusters:
+            _, s, Vh = np.linalg.svd((M - c.value * np.eye(n)) @ c.basis)
+            k = int(np.sum(s <= 1e-8 * scale))
+            if k:
+                core.append(c.basis @ Vh.conj().T[:, -k:])
+        layers.append(
+            Layer(
+                float(weight),
+                _real_basis([c.basis for c in clusters]),
+                _real_basis(core) if core else np.zeros((n, 0)),
+            )
+        )
+    return tuple(layers)
 
 
 def grading_from_derivation(
     g: LieAlgebra, A, *, weight_tol: float = WEIGHT_TOL, spec: SpectralData | None = None
 ) -> Grading:
     """Layers V_t spanned by the real forms of the generalized eigenspaces
-    with eigenvalue real part t."""
+    with eigenvalue real part t.  The layers depend on A alone; g is not
+    read."""
     Af = to_float(A)
     if spec is None:
         spec = generalized_eigenspaces(Af)
-    pairs = [(c.value.real, c) for c in spec.clusters]
-    layers = []
-    for grp in _group_weights(pairs, weight_tol):
-        weight = sum(w * c.multiplicity for w, c in grp) / sum(
-            c.multiplicity for _, c in grp
-        )
-        basis = _real_layer_basis([c for _, c in grp], g.dim)
-        layers.append(Layer(float(weight), basis))
-    return Grading(tuple(layers), ("derivation", Af))
+    layers = _layers(Af, spec, lambda c: c.value.real, weight_tol)
+    return Grading(layers, ("derivation", Af), spec)
 
 
 def grading_from_automorphism(
@@ -171,7 +186,7 @@ def grading_from_automorphism(
 ) -> Grading:
     """Layers at t = log|a| / log(lambda) over eigenvalue clusters a of phi,
     with the determinant identity |det phi| = lambda^(sum t dim V_t)
-    verified and its relative residual recorded."""
+    verified and its relative residual recorded.  g is not read."""
     if lam <= 0 or lam == 1.0:
         raise ValueError("automorphism gradings need lambda > 0, lambda != 1")
     Pf = to_float(phi)
@@ -180,18 +195,13 @@ def grading_from_automorphism(
     if any(abs(c.value) < 1e-14 for c in spec.clusters):
         raise ValueError("automorphism has a numerically zero eigenvalue")
     loglam = np.log(lam)
-    pairs = [(np.log(abs(c.value)) / loglam, c) for c in spec.clusters]
-    layers = []
-    for grp in _group_weights(pairs, weight_tol):
-        weight = sum(w * c.multiplicity for w, c in grp) / sum(
-            c.multiplicity for _, c in grp
-        )
-        basis = _real_layer_basis([c for _, c in grp], g.dim)
-        layers.append(Layer(float(weight), basis))
+    layers = _layers(Pf, spec, lambda c: np.log(abs(c.value)) / loglam, weight_tol)
     Q = sum(l.weight * l.dim for l in layers)
     det = abs(float(np.linalg.det(Pf)))
     resid = abs(det - lam**Q) / max(det, 1e-300)
-    return Grading(tuple(layers), ("automorphism", Pf, float(lam)), det_residual=resid)
+    return Grading(
+        layers, ("automorphism", Pf, float(lam)), spec, det_residual=resid
+    )
 
 
 def hausdorff_dimension(grading: Grading) -> float:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import to_float
+from .grading import Grading, grading_from_derivation
 from .group import GroupOps, float_nilpotency_step
 from .spectral import SpectralData, generalized_eigenspaces, lambda_pow, spectral_map
 
@@ -333,9 +334,6 @@ class DilationAction:
             out[:, self.pair_idx + 1] = -s * u + c * v
         return out @ self.Pr.T
 
-    def matrix(self, mu: float) -> np.ndarray:
-        return lambda_pow(self.A, mu)
-
 
 # ---------------------------------------------------------------------------
 # Tuned inner product
@@ -383,34 +381,6 @@ def _filtration_basis(R: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]
     return np.hstack(blocks), levels
 
 
-def _layer_groups(spec: SpectralData, weight_tol: float):
-    """Cluster indices grouped by eigenvalue real part; [(weight, [idx])]."""
-    pairs = sorted(
-        ((c.value.real, i) for i, c in enumerate(spec.clusters)), key=lambda p: p[0]
-    )
-    groups: list[list] = []
-    for w, i in pairs:
-        if groups and abs(w - groups[-1][-1][0]) <= weight_tol:
-            groups[-1].append((w, i))
-        else:
-            groups.append([(w, i)])
-    out = []
-    for grp in groups:
-        weight = sum(w * spec.clusters[i].multiplicity for w, i in grp) / sum(
-            spec.clusters[i].multiplicity for _, i in grp
-        )
-        out.append((float(weight), [i for _, i in grp]))
-    return out
-
-
-def _real_span(cols_complex: np.ndarray, dim_real: int) -> np.ndarray:
-    stack = np.hstack([cols_complex.real, cols_complex.imag])
-    U, s, _ = np.linalg.svd(stack, full_matrices=False)
-    if s.size < dim_real or (dim_real > 0 and s[dim_real - 1] < 1e-9):
-        raise NumericFailure("real form of eigenspace family lost rank")
-    return U[:, :dim_real]
-
-
 def _gram_orthonormalize(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Columns spanning the same space, orthonormal for the gram product."""
     G = basis.T @ gram @ basis
@@ -433,8 +403,7 @@ class TunedNorm:
     gram: np.ndarray
     theta: float
     epsilon: float
-    layers: list  # (weight, euclidean-orthonormal real basis)
-    spec: SpectralData
+    grading: Grading  # the layers the bounds were verified on
 
 
 def default_theta(weights, *, general_top: bool = False) -> float:
@@ -452,7 +421,7 @@ def tuned_norm(
     A,
     theta: float,
     *,
-    spec: SpectralData | None = None,
+    grading: Grading | None = None,
     weight_tol: float = 1e-7,
     grid: int = 1000,
     max_halvings: int = 60,
@@ -464,19 +433,20 @@ def tuned_norm(
 
     The nilpotent part of A is damped by scaling an eigen-filtration
     basis with powers of epsilon; epsilon starts at 1 and is halved until
-    a mu-grid verification of both bounds passes.
+    a mu-grid verification of both bounds passes.  Without a grading,
+    the grading of A is computed with weight_tol.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     Af = to_float(A)
-    if spec is None:
-        spec = generalized_eigenspaces(Af)
+    if grading is None:
+        grading = grading_from_derivation(None, Af, weight_tol=weight_tol)
+    spec = grading.spec
     n = dim
     scale = max(1.0, float(np.linalg.norm(Af, 2)))
 
     # Per-cluster filtration bases (conjugate clusters get conjugates).
     cluster_cols: dict[int, tuple[np.ndarray, list[int]]] = {}
-    by_value = {id(c): i for i, c in enumerate(spec.clusters)}
     for i, c in enumerate(spec.clusters):
         if i in cluster_cols:
             continue
@@ -489,29 +459,9 @@ def tuned_norm(
                     cluster_cols[j] = ((c.basis @ Q).conj(), list(levels))
                     break
 
-    layer_data = _layer_groups(spec, weight_tol)
-    layers = []
-    for weight, idxs in layer_data:
-        cols = np.hstack([spec.clusters[i].basis for i in idxs])
-        dim_real = sum(spec.clusters[i].multiplicity for i in idxs)
-        layers.append((weight, _real_span(cols, dim_real)))
-
-    # Diagonalizable cores per layer, for the exact mu^t bound.
-    cores = []
-    for weight, idxs in layer_data:
-        core_cols = []
-        total = 0
-        for i in idxs:
-            c = spec.clusters[i]
-            T = (Af - c.value * np.eye(n)) @ c.basis
-            s = np.linalg.svd(T, compute_uv=False)
-            Vh = np.linalg.svd(T)[2]
-            k = int(np.sum(s <= 1e-8 * scale))
-            if k:
-                core_cols.append(c.basis @ Vh.conj().T[:, -k:])
-                total += k
-        if total:
-            cores.append((weight, _real_span(np.hstack(core_cols), total)))
+    layers = [(l.weight, l.basis) for l in grading.layers]
+    # diagonalizable cores, for the exact mu^t bound
+    cores = [(l.weight, l.core) for l in grading.layers if l.core.shape[1]]
 
     action = DilationAction(Af, spec)
     mus = np.geomspace(1e-6, 1.0, grid)
@@ -551,7 +501,7 @@ def tuned_norm(
                     ok = False
                     break
         if ok:
-            return TunedNorm(gram, theta, eps, layers, spec)
+            return TunedNorm(gram, theta, eps, grading)
         eps *= 0.5
     raise NumericFailure(
         f"tuned norm verification failed after {max_halvings} halvings: {last_fail}"
@@ -627,30 +577,30 @@ def _bilinear_norm_bound(tensor: np.ndarray, gram: np.ndarray) -> float:
     return float(np.sqrt(total))
 
 
-def _axis_radii(ball, dim: int) -> np.ndarray:
-    """Per-axis extent sup{r : r e_i in B} by doubling plus bisection."""
-    radii = np.zeros(dim)
-    for i in range(dim):
-        e = np.zeros((1, dim))
-        e[0, i] = 1.0
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if not ball.contains(hi * e)[0]:
-                break
-            hi *= 2.0
-        else:
-            raise NumericFailure(f"ball is unbounded along axis {i}")
-        lo = hi / 2.0 if ball.contains((hi / 2.0) * e)[0] else 0.0
-        if lo == 0.0:
-            lo = 1e-12
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if ball.contains(mid * e)[0]:
-                lo = mid
-            else:
-                hi = mid
-        radii[i] = hi
-    return radii
+def _ray_radii(ball, U: np.ndarray) -> np.ndarray:
+    """Per-row extent sup{r : r u in B} along the rays u = rows of U:
+    doubling from r = 1, then bisection until no bracket shrinks."""
+    U = np.atleast_2d(U)
+    hi = np.ones(U.shape[0])
+    out = ball.contains(U)
+    for _ in range(200):
+        if not out.any():
+            break
+        hi[out] *= 2.0
+        out[out] = ball.contains(hi[out, None] * U[out])
+    else:
+        raise NumericFailure("ball is unbounded along a ray")
+    lo = np.where(hi > 1.0, hi / 2.0, 0.0)
+    # in floating point the midpoint reaches an end after at most ~1100
+    # halvings (down to the subnormals), so this loop terminates
+    while True:
+        mid = 0.5 * (lo + hi)
+        rows = np.flatnonzero((lo < mid) & (mid < hi))
+        if rows.size == 0:
+            return hi
+        inside = ball.contains(mid[rows, None] * U[rows])
+        lo[rows[inside]] = mid[rows[inside]]
+        hi[rows[~inside]] = mid[rows[~inside]]
 
 
 def sample_in_ball(
@@ -658,7 +608,7 @@ def sample_in_ball(
 ) -> np.ndarray:
     """Rejection sampling from the bounding box (approximately uniform;
     only membership matters for the convexity checks)."""
-    radii = _axis_radii(ball, dim) * box_factor
+    radii = _ray_radii(ball, np.eye(dim)) * box_factor
     out = np.empty((0, dim))
     attempts = 0
     while out.shape[0] < count:
@@ -774,63 +724,43 @@ def _build_layered(
     )
 
 
-def _build_recursive(view: AlgebraView, A: np.ndarray, params: BuildParams, rng):
-    spec = generalized_eigenspaces(A)
-    layer_data = _layer_groups(spec, params.weight_tol)
-    weights = [w for w, _ in layer_data]
-
+def _build_recursive(
+    view: AlgebraView, A: np.ndarray, grading: Grading, params: BuildParams, rng
+):
+    weights = grading.weights
     if view.is_abelian:
         theta = params.theta if params.theta is not None else default_theta(weights)
-        tuned = tuned_norm(
-            view.dim, A, theta, spec=spec, weight_tol=params.weight_tol,
-            grid=params.eps_grid,
-        )
+        tuned = tuned_norm(view.dim, A, theta, grading=grading, grid=params.eps_grid)
         return NormBall(tuned.gram)
-
-    t_max = max(weights)
-    if t_max <= 2 + params.weight_tol:
-        return _build_two_layer(view, A, spec, layer_data, params, rng)
-    return _build_general(view, A, spec, layer_data, params, rng)
+    if max(weights) <= 2 + params.weight_tol:
+        return _build_two_layer(view, A, grading, params, rng)
+    return _build_general(view, A, grading, params, rng)
 
 
-def _layer_basis(spec: SpectralData, layer_data, weight: float, tol: float):
-    for w, idxs in layer_data:
-        if abs(w - weight) <= tol:
-            cols = np.hstack([spec.clusters[i].basis for i in idxs])
-            dim_real = sum(spec.clusters[i].multiplicity for i in idxs)
-            return _real_span(cols, dim_real)
-    return None
+def _build_quotient(qview: AlgebraView, A_hat: np.ndarray, params: BuildParams, rng):
+    """Ball on a quotient, graded afresh by the induced derivation."""
+    grading = grading_from_derivation(None, A_hat, weight_tol=params.weight_tol)
+    return _build_recursive(qview, A_hat, grading, params, rng)
 
 
-def _build_two_layer(view, A, spec, layer_data, params, rng):
+def _build_two_layer(view, A, grading: Grading, params, rng):
     """Top weight <= 2: cap the diagonalizable weight-2 core W (it contains
     [g, g]) and put the Abelian tuned norm ball on the quotient."""
     n = view.dim
-    weights = [w for w, _ in layer_data]
-    theta = params.theta if params.theta is not None else default_theta(weights)
-    tuned = tuned_norm(
-        n, A, theta, spec=spec, weight_tol=params.weight_tol, grid=params.eps_grid
-    )
+    theta = params.theta if params.theta is not None else default_theta(grading.weights)
+    tuned = tuned_norm(n, A, theta, grading=grading, grid=params.eps_grid)
     gram = tuned.gram
     scale = max(1.0, float(np.linalg.norm(A, 2)))
 
     # W = real form of the eigenvector (not just generalized) spaces at Re a = 2
-    core_cols, total = [], 0
-    for c in spec.clusters:
-        if abs(c.value.real - 2.0) > params.weight_tol:
-            continue
-        T = (A - c.value * np.eye(n)) @ c.basis
-        _, s, Vh = np.linalg.svd(T)
-        k = int(np.sum(s <= 1e-8 * scale))
-        if k:
-            core_cols.append(c.basis @ Vh.conj().T[:, -k:])
-            total += k
-    if total == 0:
+    v2 = grading.layer_at(2.0, params.weight_tol)
+    if v2 is None or v2.core.shape[1] == 0:
         raise NumericFailure(
             "non-Abelian algebra with top weight <= 2 has no diagonalizable "
             "weight-2 core; grading data is inconsistent"
         )
-    W = _real_span(np.hstack(core_cols), total)
+    W = v2.core
+    total = W.shape[1]
 
     # [g, g] must land in W
     bracket_cols = view.tensor.reshape(n * n, n).T
@@ -852,17 +782,15 @@ def _build_two_layer(view, A, spec, layer_data, params, rng):
     # Abelian quotient ball, scaled so the lifted ball sits inside the
     # tuned unit ball of the complement.
     qview = AlgebraView(n - total, np.zeros((n - total,) * 3), 1)
-    inner = _build_recursive(qview, A_hat, params, rng)
+    inner = _build_quotient(qview, A_hat, params, rng)
     evals = np.linalg.eigvalsh((inner.gram + inner.gram.T) / 2.0)
     if evals[0] < 1.0:
         inner = NormBall(inner.gram / evals[0] * (1.0 + 1e-12))
 
     # analytic cap floor from the chi function and the bracket bound
-    S = spectral_map(A, lambda a: a, spec)
-    N = A - S
-    v2 = _layer_basis(spec, layer_data, 2.0, params.weight_tol)
-    nu = _restricted_opnorm_nonlinear(N, v2, gram)
-    m2 = _nilpotent_index_on(N, v2)
+    N = A - spectral_map(A, lambda a: a, grading.spec)
+    nu = _restricted_opnorm(N, v2.basis, gram)
+    m2 = _nilpotent_index_on(N, v2.basis)
     kappa = sum(nu**j / math.factorial(j) for j in range(1, max(m2, 1)))
     Cb = _bilinear_norm_bound(view.tensor, gram)
     if kappa > 0:
@@ -874,15 +802,7 @@ def _build_two_layer(view, A, spec, layer_data, params, rng):
     )
 
 
-def _restricted_opnorm_nonlinear(N, basis, gram) -> float:
-    if basis is None or basis.shape[1] == 0:
-        return 0.0
-    return _restricted_opnorm(N, basis, gram)
-
-
 def _nilpotent_index_on(N, basis) -> int:
-    if basis is None or basis.shape[1] == 0:
-        return 1
     R = basis.T @ N @ basis
     P = np.eye(R.shape[0])
     for k in range(1, R.shape[0] + 2):
@@ -892,20 +812,17 @@ def _nilpotent_index_on(N, basis) -> int:
     return R.shape[0] + 1
 
 
-def _build_general(view, A, spec, layer_data, params, rng):
+def _build_general(view, A, grading: Grading, params, rng):
     """Top weight > 2: cap the top layer and recurse on the quotient."""
     n = view.dim
-    weights = [w for w, _ in layer_data]
     theta = params.theta if params.theta is not None else default_theta(
-        weights, general_top=True
+        grading.weights, general_top=True
     )
-    tuned = tuned_norm(
-        n, A, theta, spec=spec, weight_tol=params.weight_tol, grid=params.eps_grid
-    )
+    tuned = tuned_norm(n, A, theta, grading=grading, grid=params.eps_grid)
     gram = tuned.gram
     scale = max(1.0, float(np.linalg.norm(A, 2)))
-    t_max = max(weights)
-    top = _layer_basis(spec, layer_data, t_max, params.weight_tol)
+    *lower, top_layer = grading.layers
+    top = top_layer.basis
 
     comp_onb = _gram_complement(gram, top)
     comp_gonb = _gram_orthonormalize(comp_onb, gram)
@@ -926,21 +843,15 @@ def _build_general(view, A, spec, layer_data, params, rng):
     if qstep is None:
         raise NumericFailure("quotient by the top layer is not nilpotent")
     qview = AlgebraView(m, qtensor, qstep)
-    inner = _build_recursive(qview, A_hat, params, rng)
+    inner = _build_quotient(qview, A_hat, params, rng)
 
     # scale the quotient ball so the sum of layer norms of lifted points
     # stays below 1 (the contraction estimate needs it)
-    low_layers = [
-        _gram_orthonormalize(
-            _layer_basis(spec, layer_data, w, params.weight_tol), gram
-        )
-        for w in weights
-        if abs(w - t_max) > params.weight_tol
-    ]
     XI = sample_in_ball(inner, m, params.cap_samples, rng)
     Xbar = XI @ comp_gonb.T
     total = np.zeros(XI.shape[0])
-    for Lb in low_layers:
+    for layer in lower:
+        Lb = _gram_orthonormalize(layer.basis, gram)
         total += np.linalg.norm(Xbar @ (Lb.T @ gram).T, axis=1)
     S = float(total.max()) * 1.05
     if S > 1.0:
@@ -956,6 +867,7 @@ def build_ball(g, A, *, params: BuildParams | None = None):
 
     Rejects (BuildRejected) when the existence classifier says no.
     """
+    # imported here so the classifier is looked up on its module at call time
     from .grading import classify_derivation
 
     params = params or BuildParams()
@@ -964,7 +876,7 @@ def build_ball(g, A, *, params: BuildParams | None = None):
         raise BuildRejected(verdict)
     view = AlgebraView.of(g)
     rng = np.random.default_rng(params.seed)
-    return _build_recursive(view, to_float(A), params, rng)
+    return _build_recursive(view, to_float(A), verdict.grading, params, rng)
 
 
 def build_distance(g, A, *, params: BuildParams | None = None) -> "HomogeneousDistance":
@@ -1175,6 +1087,14 @@ def sup_distance(d: MetricFunction, A, lam: float, grid: int = 48) -> SupOverDil
     return SupOverDilations(d, A, lam, grid)
 
 
+def common_period(ratios, max_q: int, tol: float) -> int | None:
+    """Smallest q in 1..max_q with q * r within tol of an integer for every
+    r in ratios, or None when there is none."""
+    qr = np.arange(1, max_q + 1)[:, None] * np.asarray(ratios, dtype=float)[None, :]
+    hits = np.flatnonzero(np.all(np.abs(qr - np.round(qr)) <= tol, axis=1))
+    return int(hits[0]) + 1 if hits.size else None
+
+
 def compact_closure_samples(
     K,
     *,
@@ -1186,10 +1106,11 @@ def compact_closure_samples(
 ):
     """Finite sample of the closure of the group generated by K.
 
-    Finite orbits are detected by taking powers of K until they return to
-    the identity (within return_tol, up to max_orbit); otherwise the
-    closure is approximated by a product grid over the torus directions
-    read off the eigenvalue angles.  For a non-Abelian algebra the grid
+    The regime is read off the eigenvalue phases: when some q <= max_orbit
+    turns every phase into a multiple of 2 pi (within return_tol), and
+    ||K^q - I|| <= return_tol confirms it, the closure is the finite orbit
+    I, K, ..., K^(q-1); otherwise it is approximated by a product grid over
+    the torus directions of the phases.  For a non-Abelian algebra the grid
     elements are kept only if they are automorphisms (warned otherwise).
 
     Returns (mats, info) with info describing which regime was used.
@@ -1202,18 +1123,14 @@ def compact_closure_samples(
             raise ValueError(
                 f"eigenvalue {c.value:g} has modulus != 1; no compact closure"
             )
-    mats = [np.eye(n)]
-    M = Kf.copy()
-    for j in range(1, max_orbit + 1):
-        if np.linalg.norm(M - np.eye(n), 2) <= return_tol:
-            return mats, {"mode": "orbit", "order": j}
-        mats.append(M.copy())
-        M = M @ Kf
-    warnings.warn(
-        f"orbit of K did not close within {max_orbit} powers; "
-        "falling back to a torus grid",
-        stacklevel=2,
-    )
+    turns = [np.angle(c.value) / (2 * np.pi) for c in spec.clusters]
+    q = common_period(turns, max_orbit, return_tol / (2 * np.pi))
+    if q is not None:
+        mats = [np.eye(n)]
+        for _ in range(q):
+            mats.append(mats[-1] @ Kf)
+        if np.linalg.norm(mats.pop() - np.eye(n), 2) <= return_tol:
+            return mats, {"mode": "orbit", "order": q}
     mats, pos_angles = torus_grid_mats(spec, grid_per_angle, view)
     return mats, {"mode": "torus", "angles": pos_angles, "count": len(mats)}
 
@@ -1461,23 +1378,8 @@ def sphere_polyline(
     """
     i, j = plane
     angles = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    pts = np.zeros((resolution, d.dim))
-    for a_idx, phi in enumerate(angles):
-        u = np.zeros((1, d.dim))
-        u[0, i], u[0, j] = math.cos(phi), math.sin(phi)
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if not d.ball.contains(hi * u)[0]:
-                break
-            hi *= 2.0
-        else:
-            raise NumericFailure("sphere ray search did not exit the ball")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if d.ball.contains(mid * u)[0]:
-                lo = mid
-            else:
-                hi = mid
-        pts[a_idx] = (0.5 * (lo + hi)) * u[0]
+    U = np.zeros((resolution, d.dim))
+    U[:, i], U[:, j] = np.cos(angles), np.sin(angles)
+    pts = _ray_radii(d.ball, U)[:, None] * U
     residuals = np.abs(d.gauge(pts) - 1.0)
     return angles, pts, residuals

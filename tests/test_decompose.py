@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -133,9 +132,7 @@ def test_realify_euclidean_rotation_is_identity_pipeline():
 def test_realify_box_example():
     d_box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
     delta = lambda_pow(SPIRAL, math.e)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = realify(R2, d_box, delta, math.e, check_samples=500, seed=0, mu_grid=24)
+    res = realify(R2, d_box, delta, math.e, check_samples=500, seed=0, mu_grid=24)
     assert np.allclose(res.A, 2.0 * np.eye(2), atol=1e-9)
     eigs = np.linalg.eigvals(res.A)
     assert eigs.real.min() >= 1 - 1e-8
@@ -203,6 +200,30 @@ def test_add_compact_part_rotation_on_box():
         np.abs(d3.pair(X @ M.T, Y @ M.T) - lam * base3).max() / (lam * base3).max()
     )
     assert res256 < res64
+
+
+def test_add_compact_part_incommensurable_angles_use_torus_grid():
+    r4 = abelian(4)
+    A = 2.0 * np.eye(4)
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    K = np.zeros((4, 4))
+    K[:2, :2], K[2:, 2:] = J, math.sqrt(2.0) * J
+    d0 = HomogeneousDistance(AlgebraView.of(r4), A, box_ball(4))
+    d2 = add_compact_part(d0, r4, A, K, grid_per_angle=64)
+    rng = np.random.default_rng(6)
+    X, Y = rng.normal(size=(300, 4)), rng.normal(size=(300, 4))
+    base = d2.pair(X, Y)
+    assert np.all(base >= d0.pair(X, Y) - 1e-12)
+    # a torus grid element: the first angle advanced by one grid step,
+    # the second by five
+    M = np.zeros((4, 4))
+    M[:2, :2] = scipy.linalg.expm((2 * math.pi / 64) * J)
+    M[2:, 2:] = scipy.linalg.expm((2 * math.pi * 5 / 64) * J)
+    assert np.allclose(d2.pair(X @ M.T, Y @ M.T), base, rtol=1e-9)
+    # an off-grid rotation is not an isometry of the grid average
+    R = np.eye(4)
+    R[:2, :2] = scipy.linalg.expm(0.05 * J)
+    assert not np.allclose(d2.pair(X @ R.T, Y @ R.T), base, rtol=1e-9)
 
 
 def test_add_compact_part_rejects_bad_K():

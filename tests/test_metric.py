@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nilmetric.algebra import abelian, engel, heisenberg
+from nilmetric.catalog import CATALOG
+from nilmetric.grading import classify_derivation
 from nilmetric.metric import (
     AlgebraView,
+    BuildParams,
     BuildRejected,
     DilationAction,
     HomogeneousDistance,
@@ -131,6 +135,33 @@ def test_build_ball_heisenberg_layered():
     assert rep.homogeneity <= 1e-6
     assert rep.left_invariance <= 1e-8
     assert rep.symmetry <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "entry,op",
+    [
+        (e.name, op)
+        for e in CATALOG.values()
+        for op, yes in e.expected.get("classify", {}).items()
+        if yes
+    ],
+)
+def test_build_ball_layer_split_matches_classifier(entry, op):
+    # each LayeredBall level caps the top layer of the classifier's
+    # grading (its diagonalizable core once the top weight is 2)
+    e = CATALOG[entry]
+    A = e.derivations[op]
+    layers = classify_derivation(e.algebra, A).grading.layers
+    ball = build_ball(
+        e.algebra, A, params=BuildParams(convexity_samples=2000, cap_samples=2000)
+    )
+    level = 0
+    while isinstance(ball, LayeredBall):
+        top = layers[-1 - level]
+        want = top.core.shape[1] if top.weight <= 2 + 1e-7 else top.dim
+        assert np.linalg.matrix_rank(ball.top_map) == ball.top_map.shape[0] == want
+        ball, level = ball.inner, level + 1
+    assert isinstance(ball, NormBall)
 
 
 def test_build_ball_shear_reproduces_admissible_distance():
@@ -260,6 +291,28 @@ def test_averaged_distance_finite_rotation_orbit():
     vr = d2.pair(X @ K.T, Y @ K.T)
     assert np.allclose(v, vr, rtol=1e-10)
     assert np.all(v >= d_box.pair(X, Y) - 1e-12)
+
+
+def test_compact_closure_rational_rotation_is_orbit():
+    mats, info = compact_closure_samples(_rot(2 * math.pi * 3 / 7))
+    assert info == {"mode": "orbit", "order": 7}
+    assert len(mats) == 7
+
+
+def test_compact_closure_common_period_of_two_angles():
+    K = np.zeros((4, 4))
+    K[:2, :2], K[2:, 2:] = _rot(math.pi / 2), _rot(math.pi / 3)
+    mats, info = compact_closure_samples(K)
+    assert info == {"mode": "orbit", "order": 12}
+    assert np.allclose(mats[-1] @ K, np.eye(4), atol=1e-12)
+
+
+def test_compact_closure_irrational_rotation_is_torus_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mats, info = compact_closure_samples(_rot(1.0))
+    assert info["mode"] == "torus" and info["count"] == 64
+    assert len(mats) == 64
 
 
 def test_max_over_maps_generic_path():
