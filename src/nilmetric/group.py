@@ -9,8 +9,12 @@ word w in the letters {x, y} up to the step length, the contribution is
 the left-normed bracket [w_1,[w_2,[...,w_k]]] times a rational constant,
 and the constants are generated once per step and cached.
 
-Everything evaluates on both backends: exact Fractions for rational
-inputs, vectorized float batches for the sampling harnesses.
+Left-normed words share suffixes, and each bracket is ad_x or ad_y
+applied to a shorter suffix.  One evaluator builds the two operators
+ad_x, ad_y from the structure tensor and walks the distinct suffixes
+shortest first, so the series costs one vector-matrix product per
+suffix.  It runs unchanged on both backends: Fraction object arrays for
+rational inputs (exact) and float row batches for the sampling harnesses.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .exact import exact_zeros, is_exact, to_float
+from .exact import is_exact, to_float
 from .spectral import lambda_pow
 
 __all__ = [
@@ -86,24 +90,34 @@ def bch_coefficients(step: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     return tuple(out)
 
 
-def _eval_words_exact(g, words, x, y):
-    memo: dict[tuple[int, ...], np.ndarray] = {}
-    args = (x, y)
+@lru_cache(maxsize=None)
+def _word_suffixes(step: int) -> tuple[tuple[int, ...], ...]:
+    """Distinct suffixes of length >= 2 of the step's Dynkin words,
+    shortest first, so each one's inner suffix is evaluated before it."""
+    words = bch_coefficients(step)
+    found = {word[i:] for word, _ in words for i in range(len(word) - 1)}
+    return tuple(sorted(found, key=lambda w: (len(w), w)))
 
-    def value(word):
-        if word in memo:
-            return memo[word]
-        if len(word) == 1:
-            v = args[word[0]]
-        else:
-            v = g.bracket(args[word[0]], value(word[1:]))
-        memo[word] = v
-        return v
 
-    total = exact_zeros(g.dim)
-    for word, c in words:
-        total = total + value(word) * c
-    return total
+def _bch_series(tensor: np.ndarray, step: int, coeff: dict, X, Y) -> np.ndarray:
+    """Truncated BCH series: X + Y plus coeff[w] [w](X, Y) summed over the
+    words w of length >= 2, row by row.
+
+    X and Y are (m, n) batches, float or Fraction object arrays (a
+    one-row batch broadcasts).  A left-normed word w_1 w_2 ... w_k is
+    ad_{w_1} applied to the value of w_2 ... w_k, so the two operators
+    ad_X, ad_Y are built once and every distinct suffix costs one
+    batched vector-matrix product.
+    """
+    # ad[l][m] maps a row vector v to [Z_m, v] = v @ ad[l][m], Z = (X, Y)[l]
+    ad = (np.tensordot(X, tensor, axes=(1, 0)), np.tensordot(Y, tensor, axes=(1, 0)))
+    value = {(0,): X[:, None, :], (1,): Y[:, None, :]}
+    out = X + Y
+    for word in _word_suffixes(step):
+        value[word] = value[word[1:]] @ ad[word[0]]
+        if word in coeff:
+            out = out + coeff[word] * value[word][:, 0, :]
+    return out
 
 
 def bch_product(g, x, y):
@@ -114,9 +128,9 @@ def bch_product(g, x, y):
     step = g.nilpotency_step()
     if step is None:
         raise ValueError(f"{g.name} is not nilpotent; it has no BCH group structure")
-    words = bch_coefficients(step)
     if is_exact(x) and is_exact(y):
-        return _eval_words_exact(g, words, x, y)
+        coeff = dict(bch_coefficients(step))
+        return _bch_series(g.tensor_exact, step, coeff, x[None, :], y[None, :])[0]
     return GroupOps(g.tensor, step).product(
         to_float(x)[None, :], to_float(y)[None, :]
     )[0]
@@ -145,16 +159,16 @@ class GroupOps:
     """Vectorized group arithmetic for a fixed structure tensor.
 
     Batches are (m, n) arrays of row vectors.  The word table is fixed at
-    construction, so products cost a handful of einsum contractions.
+    construction; a product builds the batched operators ad_X, ad_Y once
+    and then costs one batched vector-matrix product per distinct word
+    suffix (44 at step 6, 6 at step 3).
     """
 
     def __init__(self, tensor: np.ndarray, step: int):
         self.tensor = np.asarray(tensor, dtype=float)
         self.dim = self.tensor.shape[0]
-        self.step = int(step)
-        self.words = [
-            (word, float(c)) for word, c in bch_coefficients(max(1, self.step))
-        ]
+        self.step = max(1, int(step))
+        self.coeff = {word: float(c) for word, c in bch_coefficients(self.step)}
 
     @classmethod
     def for_algebra(cls, g) -> "GroupOps":
@@ -163,35 +177,10 @@ class GroupOps:
             raise ValueError(f"{g.name} is not nilpotent")
         return cls(g.tensor, step)
 
-    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,mi,mj->mk", self.tensor, X, Y)
-
     def product(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if X.shape[0] == 1 and Y.shape[0] > 1:
-            X = np.broadcast_to(X, Y.shape)
-        if Y.shape[0] == 1 and X.shape[0] > 1:
-            Y = np.broadcast_to(Y, X.shape)
-        out = X + Y
-        memo: dict[tuple[int, ...], np.ndarray] = {}
-        args = (X, Y)
-
-        def value(word):
-            if word in memo:
-                return memo[word]
-            if len(word) == 1:
-                v = args[word[0]]
-            else:
-                v = self.bracket(args[word[0]], value(word[1:]))
-            memo[word] = v
-            return v
-
-        for word, c in self.words:
-            if len(word) == 1:
-                continue  # leading x + y already included
-            out = out + c * value(word)
-        return out
+        return _bch_series(self.tensor, self.step, self.coeff, X, Y)
 
     def conjugate(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
         return self.product(self.product(Z, X), -np.atleast_2d(Z))

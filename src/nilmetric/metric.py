@@ -388,14 +388,16 @@ def _gram_orthonormalize(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return basis @ np.linalg.inv(L).T
 
 
-def _restricted_opnorm(T: np.ndarray, basis: np.ndarray, gram: np.ndarray) -> float:
+def _restricted_opnorm(T: np.ndarray, basis: np.ndarray, gram: np.ndarray):
     """Operator norm of T restricted to an invariant column span, in the
-    gram inner product."""
+    gram inner product; T is one (n, n) matrix or a (k, n, n) stack, and
+    the result a float or a length-k array.  One Cholesky factor serves
+    the whole stack."""
     S = basis.T @ T @ basis  # valid for orthonormal (euclidean) basis columns
     G = basis.T @ gram @ basis
     L = np.linalg.cholesky((G + G.T) / 2.0)
     M = L.T @ S @ np.linalg.inv(L).T
-    return float(np.linalg.norm(M, 2))
+    return np.linalg.norm(M, 2, axis=(-2, -1))
 
 
 @dataclass
@@ -465,7 +467,9 @@ def tuned_norm(
 
     action = DilationAction(Af, spec)
     mus = np.geomspace(1e-6, 1.0, grid)
-    Tmats = [action.apply(np.full(n, mu), np.eye(n)).T for mu in mus]
+    # row block i of the stacked identity comes back as (mus[i]^A)^T
+    Tmats = action.apply(np.repeat(mus, n), np.tile(np.eye(n), (grid, 1)))
+    Tmats = Tmats.reshape(grid, n, n).transpose(0, 2, 1)
 
     eps = 1.0
     last_fail = ""
@@ -487,9 +491,7 @@ def tuned_norm(
                 break
             for weight, basis in family:
                 bound = mus ** (weight - bound_shift)
-                norms = np.array(
-                    [_restricted_opnorm(T, basis, gram) for T in Tmats]
-                )
+                norms = _restricted_opnorm(Tmats, basis, gram)
                 bad = norms > bound * (1.0 + slack)
                 if np.any(bad):
                     i = int(np.argmax(norms / bound))

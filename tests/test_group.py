@@ -1,9 +1,10 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nilmetric.algebra import abelian, engel, heisenberg, rototranslation
+from nilmetric.algebra import LieAlgebra, abelian, engel, heisenberg, rototranslation
 from nilmetric.exact import as_exact, exact_eye, expm_nilpotent
 from nilmetric.group import (
     GroupOps,
@@ -14,6 +15,18 @@ from nilmetric.group import (
     inverse,
 )
 from nilmetric.spectral import lambda_pow
+
+
+def _filiform7():
+    """Model filiform algebra, [e1, ei] = e(i+1): step 6, the largest supported."""
+    return LieAlgebra(7, {(0, i): {i + 1: 1} for i in range(1, 6)}, name="filiform-7")
+
+
+def _free23():
+    """Free nilpotent algebra of rank 2 and step 3."""
+    return LieAlgebra(
+        5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}, name="free23"
+    )
 
 
 def _rand_exact(rng, n):
@@ -97,6 +110,20 @@ def test_associativity_exact():
             assert all(a == b for a, b in zip(lhs, rhs))
 
 
+def test_associativity_and_inverse_exact_step6():
+    g = _filiform7()
+    assert g.nilpotency_step() == 6
+    zero = [0] * g.dim
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        x, y, z = (_rand_exact(rng, g.dim) for _ in range(3))
+        lhs = bch_product(g, bch_product(g, x, y), z)
+        rhs = bch_product(g, x, bch_product(g, y, z))
+        assert all(isinstance(v, Fraction) for v in lhs)
+        assert list(lhs) == list(rhs)
+        assert list(bch_product(g, x, inverse(x))) == zero
+
+
 def test_antihomomorphism_of_inverse():
     g = engel()
     rng = np.random.default_rng(3)
@@ -177,13 +204,55 @@ def test_float_nilpotency_step():
 
 
 def test_group_ops_matches_exact():
-    g = engel()
-    ops = GroupOps.for_algebra(g)
     rng = np.random.default_rng(8)
-    x, y = _rand_exact(rng, 4), _rand_exact(rng, 4)
-    exact = np.array([float(v) for v in bch_product(g, x, y)])
-    approx = ops.product(
-        np.array([float(v) for v in x])[None, :],
-        np.array([float(v) for v in y])[None, :],
-    )[0]
-    assert np.allclose(exact, approx, atol=1e-12)
+    for g in (engel(), _filiform7(), _free23()):
+        ops = GroupOps.for_algebra(g)
+        for _ in range(5):
+            x, y = _rand_exact(rng, g.dim), _rand_exact(rng, g.dim)
+            exact = np.array([float(v) for v in bch_product(g, x, y)])
+            approx = ops.product(
+                np.array([float(v) for v in x])[None, :],
+                np.array([float(v) for v in y])[None, :],
+            )[0]
+            scale = max(1.0, np.abs(exact).max())
+            assert np.abs(exact - approx).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("make", [_filiform7, _free23])
+def test_group_ops_basis_covariance(make):
+    # a dense structure tensor, as build quotients produce: the product in
+    # the basis f_a = sum_i P[i, a] e_i is P^T (P x * P y)
+    g = make()
+    rng = np.random.default_rng(10)
+    P, _ = np.linalg.qr(rng.normal(size=(g.dim, g.dim)))
+    rotated = np.einsum("ia,jb,ijk,kc->abc", P, P, g.tensor, P)
+    ops, ops_rot = GroupOps.for_algebra(g), GroupOps(rotated, g.nilpotency_step())
+    X, Y = rng.normal(size=(200, g.dim)), rng.normal(size=(200, g.dim))
+    want = ops.product(X @ P.T, Y @ P.T) @ P
+    got = ops_rot.product(X, Y)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_group_ops_broadcasts_single_row():
+    ops = GroupOps.for_algebra(_filiform7())
+    rng = np.random.default_rng(11)
+    x, Y = rng.normal(size=(1, 7)), rng.normal(size=(30, 7))
+    full = ops.product(np.repeat(x, 30, axis=0), Y)
+    assert np.array_equal(ops.product(x, Y), full)
+    assert np.array_equal(ops.product(Y, x), ops.product(Y, np.repeat(x, 30, axis=0)))
+
+
+def test_group_ops_product_leaves_no_reference_cycle():
+    # the word values are freed by reference counting when product
+    # returns, not left for the cyclic collector
+    ops = GroupOps.for_algebra(_filiform7())
+    rng = np.random.default_rng(12)
+    X, Y = rng.normal(size=(100, 7)), rng.normal(size=(100, 7))
+    ops.product(X, Y)
+    gc.disable()
+    try:
+        gc.collect()
+        ops.product(X, Y)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nilmetric.algebra import abelian, engel, heisenberg
 from nilmetric.catalog import CATALOG
@@ -16,6 +17,7 @@ from nilmetric.metric import (
     LayeredBall,
     MaxOverMaps,
     NormBall,
+    _restricted_opnorm,
     averaged_distance,
     ball_from_json,
     ball_to_json,
@@ -98,6 +100,53 @@ def test_tuned_norm_shear_shrinks_epsilon():
         L = np.linalg.cholesky(tn.gram)
         op = np.linalg.norm(L.T @ M @ np.linalg.inv(L).T, 2)
         assert op <= mu**1.25 * (1 + 1e-8)
+
+
+def _gram_opnorm_oracle(T, basis, gram):
+    """sup |T v|_gram / |v|_gram over v in span(basis), from the
+    generalized eigenproblem of the two restricted quadratic forms."""
+    TB = T @ basis
+    G = basis.T @ gram @ basis
+    top = scipy.linalg.eigh(TB.T @ gram @ TB, G, eigvals_only=True)
+    return math.sqrt(max(top[-1], 0.0))
+
+
+def test_restricted_opnorm_stack_matches_per_matrix():
+    rng = np.random.default_rng(13)
+    n, k = 5, 2
+    for _ in range(5):
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        basis = Q[:, :k]
+        # span(basis) is invariant: the lower-left block of Q^T T Q is zero
+        B = rng.normal(size=(6, n, n))
+        B[:, k:, :k] = 0.0
+        T = Q @ B @ Q.T
+        R = rng.normal(size=(n, n))
+        gram = R @ R.T + 0.5 * np.eye(n)
+        norms = _restricted_opnorm(T, basis, gram)
+        assert norms.shape == (6,)
+        for i in range(6):
+            one = _restricted_opnorm(T[i], basis, gram)
+            assert norms[i] == pytest.approx(one, rel=1e-13)
+            oracle = _gram_opnorm_oracle(T[i], basis, gram)
+            assert norms[i] == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("A, theta", [(SHEAR15, 0.25), (SPIRAL, 0.5)])
+def test_tuned_norm_holds_layer_bounds_on_whole_grid(A, theta):
+    # the default verification grid, with mu^A recomputed independently
+    tn = tuned_norm(2, A, theta)
+    mus = np.geomspace(1e-6, 1.0, 1000)
+    checks = []
+    for layer in tn.grading.layers:
+        checks.append((theta, layer.weight, layer.basis))
+        if layer.core.shape[1]:
+            checks.append((0.0, layer.weight, layer.core))
+    for shift, weight, basis in checks:
+        for mu in mus:
+            T = scipy.linalg.expm(math.log(mu) * A)
+            op = _gram_opnorm_oracle(T, basis, tn.gram)
+            assert op <= mu ** (weight - shift) * (1 + 1e-8)
 
 
 def test_default_theta():
