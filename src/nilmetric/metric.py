@@ -19,16 +19,20 @@ grading layers:
 
 Every built ball is validated by randomized dilation-convexity checks;
 caps are doubled until validation passes.  The gauge
-N(x) = inf{mu > 0 : mu^(-A) x in B} is evaluated by geometric bisection,
-which is justified because membership along mu is monotone for a
-dilation-convex ball.  All evaluation paths are vectorized over batches
-of points.
+N(x) = inf{mu > 0 : mu^(-A) x in B} is the maximum of per-level terms,
+since membership along mu is monotone for a dilation-convex ball and a
+layered ball is the intersection of its cap and its quotient ball.  A
+level on which A acts conformally has a closed form, (|R x| / c)^(1/t),
+evaluated in log space; any other level is solved by a safeguarded
+Illinois iteration along log mu.  All evaluation paths are vectorized
+over batches of points.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +59,7 @@ __all__ = [
     "build_ball",
     "build_distance",
     "HomogeneousDistance",
+    "GaugeRecord",
     "MaxOverMaps",
     "SupOverDilations",
     "averaged_distance",
@@ -308,7 +313,12 @@ class DilationAction:
             mus = np.full(X.shape[0], float(mus))
         if np.any(mus <= 0):
             raise ValueError("dilation parameters must be positive")
-        logm = np.log(mus)
+        return self._dilate(np.log(mus), X)
+
+    def _dilate(self, logm: np.ndarray, X: np.ndarray, logscale=None) -> np.ndarray:
+        """Rows of X times e^(logm[i] A), and times e^(logscale[i]) when
+        given; then every factor is formed in log space, so nothing
+        overflows or turns 0 * inf into NaN that the result does not."""
         Y = X
         if len(self.npows) > 1:
             Y = np.zeros_like(X)
@@ -319,20 +329,31 @@ class DilationAction:
                 Y += fac[:, None] * (X @ Nj.T)
         xi = Y @ self.Prinv.T
         out = np.empty_like(xi)
+
+        def scaled(v, weights):
+            logf = np.outer(logm, weights)
+            if logscale is None:
+                return v * np.exp(logf)
+            with np.errstate(divide="ignore"):
+                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v)
+
         if self.real_idx.size:
-            scale = np.exp(np.outer(logm, self.real_a))
-            out[:, self.real_idx] = xi[:, self.real_idx] * scale
+            out[:, self.real_idx] = scaled(xi[:, self.real_idx], self.real_a)
         if self.pair_idx.size:
-            r = np.exp(np.outer(logm, self.pair_a))
             ang = np.outer(logm, self.pair_b)
-            c, s = r * np.cos(ang), r * np.sin(ang)
+            c, s = np.cos(ang), np.sin(ang)
             u = xi[:, self.pair_idx]
             v = xi[:, self.pair_idx + 1]
             # the block of the semisimple part in the (Re b, Im b) basis is
             # [[a, b], [-b, a]]; row vectors multiply by its exp transposed
-            out[:, self.pair_idx] = c * u + s * v
-            out[:, self.pair_idx + 1] = -s * u + c * v
+            out[:, self.pair_idx] = scaled(c * u + s * v, self.pair_a)
+            out[:, self.pair_idx + 1] = scaled(-s * u + c * v, self.pair_a)
         return out @ self.Pr.T
+
+    @property
+    def min_weight(self) -> float:
+        """Smallest real part of the spectrum of A."""
+        return float(np.concatenate([self.real_a, self.pair_a]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -924,8 +945,172 @@ class MetricFunction:
         return float(self.pair(np.atleast_2d(p), np.atleast_2d(q))[0])
 
 
+@dataclass(frozen=True)
+class GaugeRecord:
+    """What one gauge call did.  Rows are answered in closed form unless
+    some level of the ball needs the solver; a pass is one batched excess
+    evaluation over the rows still open."""
+
+    closed_rows: int = 0
+    solved_rows: int = 0
+    bracket_passes: int = 0  # passes spent finding a sign bracket
+    solve_passes: int = 0  # Illinois or bisection passes inside the brackets
+    row_evals: int = 0  # rows summed over all passes
+    bisections: int = 0  # row steps taken as bisection by the safeguard
+
+
+# relative tolerance of the construction-time checks that a level of the
+# ball is invariant and conformal, so that its gauge has a closed form
+_CONFORMAL_RTOL = 1e-12
+# per row, log N above this overflows to inf
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _near(X, Y, scale) -> bool:
+    return float(np.linalg.norm(X - Y)) <= _CONFORMAL_RTOL * float(scale)
+
+
+def _gauge_terms(ball, A: np.ndarray, P: np.ndarray):
+    """Split the gauge of ball, for the derivation A on the coordinates
+    P x, into per-level terms whose maximum is N.
+
+    Membership in a LayeredBall is (top cap) and (inner ball at proj x),
+    each an up-set in mu, so N = max(N_top, N_inner(proj x)) when
+    proj A = quotient_A proj and top_map A = M top_map; the cap is then
+    the norm ball of radius cap for M on the top coordinates.  A leaf has
+    a closed form when A acts on it conformally: A^T G + G A = 2t G for a
+    NormBall (N = (x^T G x)^(1/2t)), A = t I for a PolyBall
+    (N = max_i |r_i . x|^(1/t)).  Returns (closed, solved): closed terms
+    (R, t, sup) mean N = |R x|^(1/t) in the 2-norm or, with sup, the
+    max-norm; solved terms (ball, A, P) go to the Illinois solver.
+    """
+    if isinstance(ball, LayeredBall):
+        T, Q = ball.top_map, ball.proj
+        M = T @ A @ np.linalg.pinv(T)
+        scale = np.linalg.norm(A)
+        if _near(T @ A, M @ T, scale * np.linalg.norm(T)) and _near(
+            Q @ A, ball.quotient_A @ Q, scale * np.linalg.norm(Q)
+        ):
+            cap = NormBall(np.eye(T.shape[0]) / ball.cap**2)
+            c1, s1 = _gauge_terms(cap, M, T @ P)
+            c2, s2 = _gauge_terms(ball.inner, ball.quotient_A, Q @ P)
+            return c1 + c2, s1 + s2
+    t = float(np.trace(A)) / A.shape[0]
+    if isinstance(ball, NormBall) and _near(
+        A.T @ ball.gram + ball.gram @ A,
+        2.0 * t * ball.gram,
+        np.linalg.norm(A) * np.linalg.norm(ball.gram),
+    ):
+        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
+        return [(L.T @ P, t, False)], []
+    if isinstance(ball, PolyBall) and _near(A, t * np.eye(A.shape[0]), np.linalg.norm(A)):
+        return [(ball.rows @ P, t, True)], []
+    return [], [(ball, A, P)]
+
+
+def _illinois_log_gauge(ball, action: DilationAction, Y: np.ndarray, logm: np.ndarray, width: float):
+    """log N(y) for y = e^logm[i] Y[i] (-inf where Y[i] = 0), the root of
+    g(s) = log(1 + ball.excess(e^(-s A) y)) along s = log mu.
+
+    Membership is an up-set in mu, so g changes sign once; the log makes
+    g nearly linear in s, with slope about -weight.  Each row is first
+    scaled, in log space, by its layer quasi-norm
+    |y|_A = max_i |xi_i|^(1/a_i) over the eigen-coordinates xi of A, so the
+    search runs near s = 0 at every scale.  A sign bracket is found by
+    stepping g/a_min (a_min the smallest weight), the step growing while
+    the sign holds.  Inside it a regula falsi step with the Illinois
+    weight halving runs, kept at least width/4 from both ends, and a
+    bisection follows whenever the bracket is not under half as wide as
+    three steps before.  It stops when every bracket is at most width
+    wide and returns the secant root of the last bracket.
+
+    Returns (log N, counts) with counts a Counter of GaugeRecord fields.
+    """
+    counts = Counter()
+    xi = Y @ action.Prinv.T
+    with np.errstate(divide="ignore"):
+        parts = [(logm[:, None] + np.log(np.abs(xi[:, action.real_idx]))) / action.real_a]
+        if action.pair_idx.size:
+            r = np.hypot(xi[:, action.pair_idx], xi[:, action.pair_idx + 1])
+            parts.append((logm[:, None] + np.log(r)) / action.pair_a)
+    s0 = np.hstack(parts).max(axis=1)
+    out = np.full(Y.shape[0], -np.inf)
+    live = np.flatnonzero(np.isfinite(s0))
+    if live.size == 0:
+        return out, counts
+    Z = action._dilate(-s0[live], Y[live], logm[live])  # |z|_A = 1
+    a_min = action.min_weight
+
+    def g(rows, s):
+        counts["row_evals"] += rows.size
+        with np.errstate(divide="ignore"):
+            return np.log1p(ball.excess(action.apply(np.exp(-s), Z[rows])))
+
+    k = live.size
+    s = np.zeros(k)
+    gs = g(np.arange(k), s)
+    counts["bracket_passes"] += 1
+    lo, glo = np.full(k, np.nan), np.full(k, np.nan)  # g > 0: outside B
+    hi, ghi = np.full(k, np.nan), np.full(k, np.nan)  # g <= 0: inside B
+    grow = np.full(k, 1.25)
+    rows = np.arange(k)
+    for _ in range(64):
+        up = gs[rows] > 0
+        lo[rows[up]], glo[rows[up]] = s[rows[up]], gs[rows[up]]
+        hi[rows[~up]], ghi[rows[~up]] = s[rows[~up]], gs[rows[~up]]
+        rows = np.flatnonzero(np.isnan(lo) | np.isnan(hi))
+        if rows.size == 0:
+            break
+        # outside steps up in s, inside down, by at least width
+        step = np.clip(grow[rows] * np.abs(gs[rows]) / a_min, width * grow[rows], 16.0)
+        s[rows] += np.where(gs[rows] > 0, step, -step)
+        gs[rows] = g(rows, s[rows])
+        counts["bracket_passes"] += 1
+        grow[rows] *= 2.0
+    else:
+        raise NumericFailure("gauge bracket search exhausted its budget; is the ball bounded?")
+
+    wlo, whi = glo.copy(), ghi.copy()  # end values with the Illinois halving
+    moved = np.zeros(k, dtype=np.int8)  # +1: lo moved last, -1: hi moved last
+    bisect = np.zeros(k, dtype=bool)
+    # widths of the last three steps: the Illinois halving needs two steps
+    # to pull the far end in, so judging each step alone would bisect
+    # away its gain
+    past = [np.full(k, np.inf), np.full(k, np.inf), hi - lo]
+    for _ in range(256):
+        rows = np.flatnonzero(hi - lo > width)
+        if rows.size == 0:
+            break
+        a, b = lo[rows], hi[rows]
+        c = np.where(
+            bisect[rows], 0.5 * (a + b), (a * whi[rows] - b * wlo[rows]) / (whi[rows] - wlo[rows])
+        )
+        c = np.clip(c, a + width / 4, b - width / 4)
+        counts["bisections"] += int(bisect[rows].sum())
+        gc = g(rows, c)
+        counts["solve_passes"] += 1
+        up = gc > 0
+        r_up, r_dn = rows[up], rows[~up]
+        lo[r_up], glo[r_up], wlo[r_up] = c[up], gc[up], gc[up]
+        whi[r_up[moved[r_up] == 1]] *= 0.5
+        moved[r_up] = 1
+        hi[r_dn], ghi[r_dn], whi[r_dn] = c[~up], gc[~up], gc[~up]
+        wlo[r_dn[moved[r_dn] == -1]] *= 0.5
+        moved[r_dn] = -1
+        bisect = hi - lo > 0.5 * past[0]
+        past = past[1:] + [hi - lo]
+    else:
+        raise NumericFailure("gauge solve exhausted its budget of 256 passes")
+    out[live] = s0[live] + (lo * ghi - hi * glo) / (ghi - glo)
+    return out, counts
+
+
 class HomogeneousDistance(MetricFunction):
-    """d(p, q) = N(p^(-1) q) with N the dilation gauge of the unit ball."""
+    """d(p, q) = N(p^(-1) q) with N the dilation gauge of the unit ball.
+
+    The ball is split into per-level gauge terms once, here; after each
+    gauge call, `gauge_record` says how its rows were answered.
+    """
 
     def __init__(self, view: AlgebraView, A, ball, *, bisection_rtol: float = 1e-10):
         self.view = view
@@ -935,58 +1120,60 @@ class HomogeneousDistance(MetricFunction):
         self.ops = view.ops()
         self.action = DilationAction(self.A)
         self.dim = view.dim
+        if self.action.min_weight <= 0:
+            raise ValueError("a dilation gauge needs every eigenvalue of A in Re > 0")
+        # the final bracket of the solver, in log mu: as wide as a geometric
+        # bisection to rtol would leave it
+        self.width = math.log(2.0) * 2.0 ** -(math.ceil(math.log2(math.log(2.0) / self.rtol)) + 2)
+        self._closed, solved = _gauge_terms(ball, self.A, np.eye(self.dim))
+        self._solved = [
+            (b, self.action if A_level is self.A else DilationAction(A_level), P)
+            for b, A_level, P in solved
+        ]
+        self._record = GaugeRecord()
+
+    @property
+    def gauge_record(self) -> GaugeRecord:
+        """What the last gauge call did."""
+        return self._record
 
     def gauge(self, X: np.ndarray) -> np.ndarray:
-        """N(x) = inf{mu > 0 : mu^(-A) x in B} by geometric bisection.
+        """N(x) = inf{mu > 0 : mu^(-A) x in B}, as the maximum of its
+        per-level terms (see `_gauge_terms`).
 
-        Valid because membership in mu is monotone for a dilation-convex
-        ball (the set of admissible mu is an up-set).
+        Closed-form terms are evaluated in log space, each row scaled by
+        its largest entry, so they hold at every representable scale; the
+        other levels go to `_illinois_log_gauge`.  Raises OverflowError
+        where N itself exceeds the float range.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        mrows = X.shape[0]
-        out = np.zeros(mrows)
-        active = np.abs(X).max(axis=1) > 0
-        if not np.any(active):
-            return out
-        Xa = X[active]
-        k = Xa.shape[0]
-
-        def member(mu_vec, rows):
-            return self.ball.contains(
-                self.action.apply(1.0 / mu_vec, rows), slack=1e-13
-            )
-
-        hi = np.ones(k)
-        inside = member(hi, Xa)
-        for _ in range(700):
-            if np.all(inside):
-                break
-            hi[~inside] *= 2.0
-            if np.any(hi > 1e90):
-                raise OverflowError(
-                    "gauge bracket search overflowed; coordinates too large"
-                )
-            inside[~inside] = member(hi[~inside], Xa[~inside])
-        else:
-            raise OverflowError("gauge bracket search did not terminate")
-        lo = hi / 2.0
-        shrink = member(lo, Xa)
-        for _ in range(700):
-            if not np.any(shrink):
-                break
-            hi[shrink] = lo[shrink]
-            lo[shrink] /= 2.0
-            if np.any(lo < 1e-90):
-                lo[lo < 1e-90] = 1e-90
-                break
-            shrink[shrink] = member(lo[shrink], Xa[shrink])
-        iters = int(np.ceil(np.log2(np.log(2.0) / self.rtol))) + 2
-        for _ in range(iters):
-            mid = np.sqrt(lo * hi)
-            ok = member(mid, Xa)
-            hi[ok] = mid[ok]
-            lo[~ok] = mid[~ok]
-        out[active] = hi
+        m = np.abs(X).max(axis=1)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("gauge input has a non-finite entry")
+        live = m > 0
+        Xn = X[live] / m[live, None]
+        logm = np.log(m[live])
+        logN = np.full(Xn.shape[0], -np.inf)
+        with np.errstate(divide="ignore"):
+            for R, t, sup in self._closed:
+                Y = Xn @ R.T
+                size = np.abs(Y).max(axis=1)
+                if not sup:  # the 2-norm scaled by the largest entry cannot underflow
+                    size = size * np.linalg.norm(Y / np.where(size > 0, size, 1.0)[:, None], axis=1)
+                logN = np.maximum(logN, (logm + np.log(size)) / t)
+        counts = Counter()
+        solved = np.zeros(Xn.shape[0], dtype=bool)
+        for ball, action, P in self._solved:
+            term, c = _illinois_log_gauge(ball, action, Xn @ P.T, logm, self.width)
+            logN = np.maximum(logN, term)
+            solved |= np.isfinite(term)
+            counts += c
+        nsolved = int(solved.sum())
+        self._record = GaugeRecord(X.shape[0] - nsolved, nsolved, **counts)
+        if np.any(logN > _LOG_MAX):
+            raise OverflowError("gauge value exceeds the float range")
+        out = np.zeros(X.shape[0])
+        out[live] = np.exp(logN)
         return out
 
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -1188,6 +1375,15 @@ def torus_grid_mats(spec: SpectralData, grid_per_angle: int, view: AlgebraView |
     return mats, pos_angles
 
 
+def _exponent_floor(ratio: float, lam: float, rtol: float = 1e-9) -> int:
+    """floor(-log_lam ratio), except that a ratio within rtol of a power
+    of lam counts as that power (the slack the validation step allows),
+    so an exact ratio lam^j one ulp high does not move the exponent."""
+    v = -math.log(ratio, lam)
+    j = round(v)
+    return j if abs(v - j) <= math.log1p(rtol) / math.log(lam) else math.floor(v)
+
+
 def bilipschitz_constants(
     d1: MetricFunction,
     d2: MetricFunction,
@@ -1226,8 +1422,8 @@ def bilipschitz_constants(
         )
     ratios21 = r2 / r1
     ratios12 = r1 / r2
-    k2 = math.floor(-math.log(float(ratios21.max()), lam))
-    k1 = math.floor(-math.log(float(ratios12.max()), lam))
+    k2 = _exponent_floor(float(ratios21.max()), lam)
+    k1 = _exponent_floor(float(ratios12.max()), lam)
     L2 = lam ** (1 - k2)
     L1 = lam ** (1 - k1)
     # fresh validation sample

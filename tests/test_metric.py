@@ -1,11 +1,14 @@
+import functools
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from nilmetric.algebra import abelian, engel, heisenberg
+from nilmetric.algebra import LieAlgebra, abelian, engel, heisenberg
 from nilmetric.catalog import CATALOG
 from nilmetric.grading import classify_derivation
 from nilmetric.metric import (
@@ -13,10 +16,14 @@ from nilmetric.metric import (
     BuildParams,
     BuildRejected,
     DilationAction,
+    GaugeRecord,
     HomogeneousDistance,
     LayeredBall,
     MaxOverMaps,
+    MetricFunction,
     NormBall,
+    _exponent_floor,
+    _illinois_log_gauge,
     _restricted_opnorm,
     averaged_distance,
     ball_from_json,
@@ -43,6 +50,16 @@ SPIRAL = np.array([[2.0, -1.0], [1.0, 2.0]])
 SHEAR15 = np.array([[1.5, 1.0], [0.0, 1.5]])
 R2 = abelian(2)
 R2V = AlgebraView.of(R2)
+FREE23 = LieAlgebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}, name="free23")
+FILIFORM7 = LieAlgebra(7, {(0, i): {i + 1: 1} for i in range(1, 6)}, name="filiform-7")
+# the algebras and derivations of the balls frozen in perfbench/reference
+FROZEN_CASES = {
+    "heisenberg": (heisenberg(), np.diag([1.0, 1.0, 2.0])),
+    "engel": (engel(), np.diag([1.0, 1.0, 2.0, 3.0])),
+    "free23": (FREE23, np.diag([1.0, 1.0, 2.0, 3.0, 3.0])),
+    "filiform-7": (FILIFORM7, np.diag([1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])),
+}
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _rot(t):
@@ -186,24 +203,31 @@ def test_build_ball_heisenberg_layered():
     assert rep.symmetry <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "entry,op",
-    [
-        (e.name, op)
-        for e in CATALOG.values()
-        for op, yes in e.expected.get("classify", {}).items()
-        if yes
-    ],
-)
+CATALOG_YES = [
+    (e.name, op)
+    for e in CATALOG.values()
+    for op, yes in e.expected.get("classify", {}).items()
+    if yes
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_ball(entry, op):
+    e = CATALOG[entry]
+    return build_ball(
+        e.algebra, e.derivations[op],
+        params=BuildParams(convexity_samples=2000, cap_samples=2000),
+    )
+
+
+@pytest.mark.parametrize("entry,op", CATALOG_YES)
 def test_build_ball_layer_split_matches_classifier(entry, op):
     # each LayeredBall level caps the top layer of the classifier's
     # grading (its diagonalizable core once the top weight is 2)
     e = CATALOG[entry]
     A = e.derivations[op]
     layers = classify_derivation(e.algebra, A).grading.layers
-    ball = build_ball(
-        e.algebra, A, params=BuildParams(convexity_samples=2000, cap_samples=2000)
-    )
+    ball = _catalog_ball(entry, op)
     level = 0
     while isinstance(ball, LayeredBall):
         top = layers[-1 - level]
@@ -231,7 +255,7 @@ def test_gauge_homogeneity_property():
 
 
 def test_gauge_monotone_membership():
-    # justifies bisection: mu -> [mu^(-A) x in B] is monotone
+    # justifies the sign-bracket solve: mu -> [mu^(-A) x in B] is monotone
     d = build_distance(heisenberg(), np.diag([1.0, 1.0, 2.0]))
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 3)) * 2
@@ -242,6 +266,94 @@ def test_gauge_monotone_membership():
         )
         flips = np.diff(members.astype(int))
         assert np.all(flips >= 0)  # once inside, stays inside
+
+
+def _solver_gauge(d, X):
+    """N(x) by the Illinois solve on the whole ball, bypassing the
+    closed-form split."""
+    m = np.abs(X).max(axis=1)
+    logN, _ = _illinois_log_gauge(d.ball, d.action, X / m[:, None], np.log(m), d.width)
+    return np.exp(logN)
+
+
+@pytest.mark.parametrize("entry,op", CATALOG_YES)
+def test_closed_form_gauge_matches_solver(entry, op):
+    e = CATALOG[entry]
+    d = HomogeneousDistance(AlgebraView.of(e.algebra), e.derivations[op], _catalog_ball(entry, op))
+    X = np.random.default_rng(30).normal(size=(500, d.dim)) * 2.0
+    closed, solved = d.gauge(X), _solver_gauge(d, X)
+    assert np.max(np.abs(closed - solved) / solved) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name", ["heisenberg", "engel", "free23", "filiform-7", "shear", "spiral-box"]
+)
+def test_gauge_routes_levels_by_conformality(name):
+    # the frozen benchmark balls are conformal at every level; the shear
+    # NormBall (criterion 5) and the spiral box are not and take the solver
+    if name == "shear":
+        d = build_distance(R2, SHEAR15)
+    elif name == "spiral-box":
+        d = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
+    else:
+        g, A = FROZEN_CASES[name]
+        with open(REFERENCE / f"{name}.json") as fh:
+            ball = ball_from_json(json.load(fh)["ball"])
+        d = HomogeneousDistance(AlgebraView.of(g), A, ball)
+    X = np.random.default_rng(31).normal(size=(300, d.dim))
+    d.gauge(X)
+    rec = d.gauge_record
+    if name in ("shear", "spiral-box"):
+        assert not d._closed and len(d._solved) == 1
+        assert rec.solved_rows == 300 and rec.closed_rows == 0
+        assert rec.bracket_passes >= 1 and rec.solve_passes >= 1
+    else:
+        assert d._closed and not d._solved
+        assert rec.closed_rows == 300 and rec.solved_rows == 0
+        assert rec.bracket_passes == rec.solve_passes == rec.row_evals == 0
+
+
+def test_gauge_record_counts_closed_and_solved_rows():
+    X = np.random.default_rng(32).normal(size=(50, 3))
+    X[7] = 0.0
+    d = build_distance(heisenberg(), np.diag([1.0, 1.0, 2.0]))
+    d.gauge(X)
+    assert d.gauge_record == GaugeRecord(closed_rows=50)
+    d_box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
+    d_box.gauge(X[:, :2])
+    rec = d_box.gauge_record
+    # the zero row is answered without the solver
+    assert (rec.closed_rows, rec.solved_rows) == (1, 49)
+    passes = rec.bracket_passes + rec.solve_passes
+    assert 2 <= passes <= 40
+    assert 49 * 2 <= rec.row_evals <= 49 * passes
+    assert 0 <= rec.bisections < rec.row_evals
+    # one record per call, not accumulated
+    d_box.gauge(X[:5, :2])
+    assert d_box.gauge_record.solved_rows == 5
+    with pytest.raises(AttributeError):
+        d_box.gauge_record = rec
+    with pytest.raises(AttributeError):
+        rec.solved_rows = 0
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free23", "spiral-box"])
+def test_gauge_scale_covariance_at_every_scale(name):
+    # N(s^A u) = s N(u) for s = 10^e; free23 stops at |e| = 100, where
+    # s^3 leaves the normal float range
+    if name == "spiral-box":
+        d, top = HomogeneousDistance(R2V, SPIRAL, box_ball(2)), 150
+    elif name == "heisenberg":
+        d, top = build_distance(heisenberg(), np.diag([1.0, 1.0, 2.0])), 150
+    else:
+        g, A = FROZEN_CASES["free23"]
+        d, top = build_distance(g, A), 100
+    U = np.random.default_rng(33).normal(size=(64, d.dim))
+    base = d.gauge(U)
+    for e in range(-top, top + 1, 5):
+        s = 10.0**e
+        got = d.gauge(U @ lambda_pow(d.A, s).T)
+        assert np.max(np.abs(got - s * base) / (s * base)) <= 1e-9, e
 
 
 def test_distance_identities():
@@ -414,6 +526,32 @@ def test_bilipschitz_constants_scaled_distance():
     assert info["validated"]
 
 
+class _Scaled(MetricFunction):
+    def __init__(self, base, c):
+        self.base, self.c, self.dim = base, c, base.dim
+
+    def pair(self, P, Q):
+        return self.c * self.base.pair(P, Q)
+
+
+def test_bilipschitz_exponent_snaps_a_power_one_ulp_high():
+    up = np.nextafter(2.0, 3.0)  # 2 (1 + 1 ulp)
+    assert math.floor(-math.log(up, 2.0)) == -2
+    assert _exponent_floor(up, 2.0) == -1
+    assert _exponent_floor(2.0, 2.0) == -1
+    assert _exponent_floor(math.e * (1 + 2.0**-52), math.e) == -1
+    assert _exponent_floor(np.nextafter(1.0, 2.0), math.e) == 0
+    # away from a power, plain floor
+    assert _exponent_floor(3.0, 2.0) == -2
+    assert _exponent_floor(2.0 * (1 + 1e-6), 2.0) == -2
+    d1 = build_distance(R2, np.eye(2))
+    L1, L2, info = bilipschitz_constants(
+        d1, _Scaled(d1, up), 2.0 * np.eye(2), 2.0, samples=500
+    )
+    assert info["k2"] == -1 and L2 == 4.0
+    assert info["validated"]
+
+
 def test_bilipschitz_rejects_non_common_dilation():
     d1 = build_distance(R2, np.eye(2))
     d2 = build_distance(R2, np.diag([1.0, 2.0]))
@@ -505,13 +643,7 @@ def test_build_ball_rotating_first_layer():
 
 
 def test_build_ball_free_nilpotent_rank2_step3():
-    from nilmetric.algebra import LieAlgebra
-
-    f23 = LieAlgebra(
-        5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1}}, name="free23"
-    )
-    A = np.diag([1.0, 1.0, 2.0, 3.0, 3.0])
-    d = build_distance(f23, A)
+    d = build_distance(*FROZEN_CASES["free23"])
     assert isinstance(d.ball, LayeredBall)
     assert isinstance(d.ball.inner, LayeredBall)  # recursion depth 2
     rep = verify_axioms(d, d.view, d.A, samples=30000, seed=21)
