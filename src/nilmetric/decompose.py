@@ -215,15 +215,9 @@ def realify(
     d_avg = averaged_distance(d, mats)
     d_out = sup_distance(d_avg, dec.A, lam, grid=mu_grid)
 
-    # invariance defect of the sampled closure drives the residual below
-    rng = np.random.default_rng(seed + 1)
-    X = rng.normal(size=(check_samples, g.dim)) * 2.0
-    Y = rng.normal(size=(check_samples, g.dim)) * 2.0
-    base = d_out.pair_chunked(X, Y)
-    rotated = d_out.pair_chunked(X @ dec.K.T, Y @ dec.K.T)
-    invariance_defect = float(
-        np.max(np.abs(rotated - base) / np.maximum(base, 1e-300))
-    )
+    # the K-invariance defect of the sampled closure (its dilation defect
+    # at factor 1) drives the residual below
+    invariance_defect = _sampled_dilation_defect(d_out, dec.K, 1.0, check_samples, seed + 1)
     residual = _sampled_dilation_defect(
         d_out, Df, lam, check_samples, seed + 2
     )
@@ -249,8 +243,6 @@ def add_compact_part(
     K,
     *,
     grid_per_angle: int = 64,
-    check_samples: int = 2000,
-    seed: int = 0,
 ) -> MetricFunction:
     """From an A-homogeneous distance, build one that is in addition
     (A+K)-homogeneous and invariant under the one-parameter group of K.

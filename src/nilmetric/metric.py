@@ -92,11 +92,16 @@ class BuildRejected(ValueError):
 
 # ---------------------------------------------------------------------------
 # Ball variants
+#
+# Each ball's excess(x) + 1 is its Minkowski functional, positively
+# 1-homogeneous in x (excess(r x) + 1 = r (excess(x) + 1) for r >= 0);
+# `_ray_radii` reads the ball's extents off it.
 # ---------------------------------------------------------------------------
 
 
 class NormBall:
-    """{x : x^T gram x <= 1} for a symmetric positive definite gram."""
+    """{x : x^T gram x <= 1} for a symmetric positive definite gram;
+    excess(x) + 1 = sqrt(x^T gram x)."""
 
     kind = "norm"
 
@@ -116,7 +121,8 @@ class NormBall:
 
 
 class PolyBall:
-    """{x : |row . x| <= 1 for every row}; covers sup-norm boxes."""
+    """{x : |row . x| <= 1 for every row}; covers sup-norm boxes;
+    excess(x) + 1 = max_i |row_i . x|."""
 
     kind = "poly"
 
@@ -136,7 +142,8 @@ class PolyBall:
 class LayeredBall:
     """Cap on a top subspace plus a recursive ball on the quotient.
 
-    Membership: ||top_map @ x||_2 <= cap  and  inner.contains(proj @ x).
+    Membership: ||top_map @ x||_2 <= cap  and  inner.contains(proj @ x);
+    excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1).
     top_map rows are the capped subspace's coordinates in the tuned inner
     product; proj maps to tuned-orthonormal quotient coordinates and
     quotient_A is the induced derivation there (needed to dilate the
@@ -602,36 +609,23 @@ def _bilinear_norm_bound(tensor: np.ndarray, gram: np.ndarray) -> float:
 
 def _ray_radii(ball, U: np.ndarray) -> np.ndarray:
     """Per-row extent sup{r : r u in B} along the rays u = rows of U:
-    doubling from r = 1, then bisection until no bracket shrinks."""
+    1 / (1 + excess(u)), since excess + 1 is the ball's 1-homogeneous
+    Minkowski functional.  Where the extent is large, 1 + excess(u)
+    cancels to few digits; by homogeneity r / (1 + excess(r u)) is the
+    same extent, evaluated near the boundary where nothing cancels."""
     U = np.atleast_2d(U)
-    hi = np.ones(U.shape[0])
-    out = ball.contains(U)
-    for _ in range(200):
-        if not out.any():
-            break
-        hi[out] *= 2.0
-        out[out] = ball.contains(hi[out, None] * U[out])
-    else:
+    with np.errstate(divide="ignore"):
+        r = 1.0 / (1.0 + ball.excess(U))
+    if not np.all(np.isfinite(r) & (r > 0)):
         raise NumericFailure("ball is unbounded along a ray")
-    lo = np.where(hi > 1.0, hi / 2.0, 0.0)
-    # in floating point the midpoint reaches an end after at most ~1100
-    # halvings (down to the subnormals), so this loop terminates
-    while True:
-        mid = 0.5 * (lo + hi)
-        rows = np.flatnonzero((lo < mid) & (mid < hi))
-        if rows.size == 0:
-            return hi
-        inside = ball.contains(mid[rows, None] * U[rows])
-        lo[rows[inside]] = mid[rows[inside]]
-        hi[rows[~inside]] = mid[rows[~inside]]
+    return r / (1.0 + ball.excess(r[:, None] * U))
 
 
-def sample_in_ball(
-    ball, dim: int, count: int, rng: np.random.Generator, *, box_factor: float = 1.5
-) -> np.ndarray:
-    """Rejection sampling from the bounding box (approximately uniform;
-    only membership matters for the convexity checks)."""
-    radii = _ray_radii(ball, np.eye(dim)) * box_factor
+def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Rejection sampling from a box of 1.5 times the axis extents, since
+    a tilted ball reaches past them (approximately uniform; only
+    membership matters for the convexity checks)."""
+    radii = _ray_radii(ball, np.eye(dim)) * 1.5
     out = np.empty((0, dim))
     attempts = 0
     while out.shape[0] < count:
@@ -760,6 +754,24 @@ def _build_recursive(
     return _build_general(view, A, grading, params, rng)
 
 
+def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.ndarray):
+    """The quotient by the A-invariant column span `capped`: returns
+    (comp_gonb, proj, A_hat, qview), a gram-orthonormal basis of the
+    gram-orthogonal complement, the map onto its coordinates, the induced
+    derivation there and the quotient algebra."""
+    comp_gonb = _gram_orthonormalize(_gram_complement(gram, capped), gram)
+    proj = comp_gonb.T @ gram
+    A_hat = proj @ A @ comp_gonb
+    scale = max(1.0, float(np.linalg.norm(A, 2)))
+    if np.linalg.norm(proj @ A - A_hat @ proj, 2) > 1e-8 * scale:
+        raise NumericFailure("capped subspace is not invariant; projection failed")
+    qtensor = np.einsum("ia,jb,ijk,lk->abl", comp_gonb, comp_gonb, view.tensor, proj)
+    qstep = float_nilpotency_step(qtensor)
+    if qstep is None:
+        raise NumericFailure("quotient by the capped subspace is not nilpotent")
+    return comp_gonb, proj, A_hat, AlgebraView(comp_gonb.shape[1], qtensor, qstep)
+
+
 def _build_quotient(qview: AlgebraView, A_hat: np.ndarray, params: BuildParams, rng):
     """Ball on a quotient, graded afresh by the induced derivation."""
     grading = grading_from_derivation(None, A_hat, weight_tol=params.weight_tol)
@@ -773,7 +785,6 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
     theta = params.theta if params.theta is not None else default_theta(grading.weights)
     tuned = tuned_norm(n, A, theta, grading=grading, grid=params.eps_grid)
     gram = tuned.gram
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
 
     # W = real form of the eigenvector (not just generalized) spaces at Re a = 2
     v2 = grading.layer_at(2.0, params.weight_tol)
@@ -783,7 +794,6 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
             "weight-2 core; grading data is inconsistent"
         )
     W = v2.core
-    total = W.shape[1]
 
     # [g, g] must land in W
     bracket_cols = view.tensor.reshape(n * n, n).T
@@ -795,16 +805,9 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
             f"(residual {resid:.2e})"
         )
 
-    comp_onb = _gram_complement(gram, W)
-    comp_gonb = _gram_orthonormalize(comp_onb, gram)
-    proj = comp_gonb.T @ gram
-    A_hat = proj @ A @ comp_gonb
-    if np.linalg.norm(proj @ A - A_hat @ proj, 2) > 1e-8 * scale:
-        raise NumericFailure("capped subspace is not invariant; projection failed")
-
-    # Abelian quotient ball, scaled so the lifted ball sits inside the
-    # tuned unit ball of the complement.
-    qview = AlgebraView(n - total, np.zeros((n - total,) * 3), 1)
+    # the quotient by W is Abelian; its norm ball is scaled so the lifted
+    # ball sits inside the tuned unit ball of the complement
+    comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, W)
     inner = _build_quotient(qview, A_hat, params, rng)
     evals = np.linalg.eigvalsh((inner.gram + inner.gram.T) / 2.0)
     if evals[0] < 1.0:
@@ -843,34 +846,15 @@ def _build_general(view, A, grading: Grading, params, rng):
     )
     tuned = tuned_norm(n, A, theta, grading=grading, grid=params.eps_grid)
     gram = tuned.gram
-    scale = max(1.0, float(np.linalg.norm(A, 2)))
     *lower, top_layer = grading.layers
     top = top_layer.basis
 
-    comp_onb = _gram_complement(gram, top)
-    comp_gonb = _gram_orthonormalize(comp_onb, gram)
-    proj = comp_gonb.T @ gram
-    A_hat = proj @ A @ comp_gonb
-    if np.linalg.norm(proj @ A - A_hat @ proj, 2) > 1e-8 * scale:
-        raise NumericFailure("top layer is not invariant; projection failed")
-
-    m = n - top.shape[1]
-    qtensor = np.einsum(
-        "ia,jb,ijk,lk->abl",
-        comp_gonb,
-        comp_gonb,
-        view.tensor,
-        proj,
-    )
-    qstep = float_nilpotency_step(qtensor)
-    if qstep is None:
-        raise NumericFailure("quotient by the top layer is not nilpotent")
-    qview = AlgebraView(m, qtensor, qstep)
+    comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, top)
     inner = _build_quotient(qview, A_hat, params, rng)
 
     # scale the quotient ball so the sum of layer norms of lifted points
     # stays below 1 (the contraction estimate needs it)
-    XI = sample_in_ball(inner, m, params.cap_samples, rng)
+    XI = sample_in_ball(inner, qview.dim, params.cap_samples, rng)
     Xbar = XI @ comp_gonb.T
     total = np.zeros(XI.shape[0])
     for layer in lower:
@@ -921,14 +905,13 @@ class MetricFunction:
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def pair_chunked(
-        self, P: np.ndarray, Q: np.ndarray, target_rows: int = 3_000_000
-    ) -> np.ndarray:
+    def pair_chunked(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """pair() split into chunks sized so that composite distances
-        (max over maps, sup over dilations) stay within a memory budget."""
+        (max over maps, sup over dilations) stay within a memory budget
+        of 3 million internal rows per call."""
         P = np.atleast_2d(P)
         Q = np.atleast_2d(Q)
-        chunk = max(1, target_rows // max(self.stack_factor, 1))
+        chunk = max(1, 3_000_000 // max(self.stack_factor, 1))
         if P.shape[0] <= chunk:
             return self.pair(P, Q)
         out = np.empty(P.shape[0])
@@ -1112,19 +1095,19 @@ class HomogeneousDistance(MetricFunction):
     gauge call, `gauge_record` says how its rows were answered.
     """
 
-    def __init__(self, view: AlgebraView, A, ball, *, bisection_rtol: float = 1e-10):
+    # the solver's final bracket in log mu: as wide as a geometric
+    # bisection to a relative tolerance of 1e-10 would leave it
+    width = math.log(2.0) * 2.0 ** -(math.ceil(math.log2(math.log(2.0) / 1e-10)) + 2)
+
+    def __init__(self, view: AlgebraView, A, ball):
         self.view = view
         self.A = to_float(A)
         self.ball = ball
-        self.rtol = bisection_rtol
         self.ops = view.ops()
         self.action = DilationAction(self.A)
         self.dim = view.dim
         if self.action.min_weight <= 0:
             raise ValueError("a dilation gauge needs every eigenvalue of A in Re > 0")
-        # the final bracket of the solver, in log mu: as wide as a geometric
-        # bisection to rtol would leave it
-        self.width = math.log(2.0) * 2.0 ** -(math.ceil(math.log2(math.log(2.0) / self.rtol)) + 2)
         self._closed, solved = _gauge_terms(ball, self.A, np.eye(self.dim))
         self._solved = [
             (b, self.action if A_level is self.A else DilationAction(A_level), P)
@@ -1185,11 +1168,7 @@ class HomogeneousDistance(MetricFunction):
         return self.gauge(np.atleast_2d(X))
 
     def to_json(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "ball": ball_to_json(self.ball),
-            "bisection_rtol": self.rtol,
-        }
+        return {"A": self.A.tolist(), "ball": ball_to_json(self.ball)}
 
 
 class MaxOverMaps(MetricFunction):
@@ -1266,9 +1245,7 @@ def averaged_distance(d: MetricFunction, K_samples: list[np.ndarray]) -> MetricF
         signs = np.sign(rows[np.arange(rows.shape[0]), first])
         canon = rows * signs[:, None]
         _, keep = np.unique(np.round(canon, 12), axis=0, return_index=True)
-        return HomogeneousDistance(
-            d.view, d.A, PolyBall(rows[np.sort(keep)]), bisection_rtol=d.rtol
-        )
+        return HomogeneousDistance(d.view, d.A, PolyBall(rows[np.sort(keep)]))
     return MaxOverMaps(d, mats)
 
 
@@ -1571,8 +1548,8 @@ def sphere_polyline(
     """Polar sweep of the unit sphere {N = 1} in a coordinate plane.
 
     Returns (angles, points, residuals): per angle, the radius along the
-    ray is solved by bisection on ball membership and the residual is
-    |N(r u) - 1|.
+    ray is the closed-form ball extent 1 / (1 + excess(u)) and the
+    residual is |N(r u) - 1|.
     """
     i, j = plane
     angles = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)

@@ -22,8 +22,11 @@ from nilmetric.metric import (
     MaxOverMaps,
     MetricFunction,
     NormBall,
+    NumericFailure,
+    PolyBall,
     _exponent_floor,
     _illinois_log_gauge,
+    _ray_radii,
     _restricted_opnorm,
     averaged_distance,
     ball_from_json,
@@ -38,6 +41,7 @@ from nilmetric.metric import (
     default_theta,
     dilate_ball,
     find_chi_constant,
+    sample_in_ball,
     sphere_polyline,
     sup_distance,
     tuned_norm,
@@ -582,6 +586,54 @@ def test_dilate_ball_matches_gauge_scaling():
     X = rng.normal(size=(200, 3))
     # gauge of mu^A B is N(x)/mu
     assert np.allclose(d2.gauge(X), d.gauge(X) / mu, rtol=1e-8)
+
+
+def _frozen_ball(name):
+    with open(REFERENCE / f"{name}.json") as fh:
+        return ball_from_json(json.load(fh)["ball"])
+
+
+@pytest.mark.parametrize(
+    "name", ["heisenberg", "engel", "free23", "filiform-7", "box", "sheared-norm", "dilated"]
+)
+def test_ray_radii_are_the_ball_extents(name):
+    # the closed form 1 / (1 + excess(u)) sits on the boundary: just
+    # inside it the ray is in the ball, just outside it is not
+    if name == "box":
+        ball = box_ball(2)
+    elif name == "sheared-norm":
+        ball = NormBall(np.array([[2.0, 0.7], [0.7, 1.0]]))
+    elif name == "dilated":
+        ball = dilate_ball(_frozen_ball("heisenberg"), FROZEN_CASES["heisenberg"][1], 0.7)
+    else:
+        ball = _frozen_ball(name)
+    U = np.random.default_rng(17).normal(size=(500, ball.dim))
+    U = np.vstack([U / np.linalg.norm(U, axis=1, keepdims=True), np.eye(ball.dim)])
+    r = _ray_radii(ball, U)[:, None]
+    assert np.all(ball.contains((1 - 1e-12) * r * U))
+    assert not np.any(ball.contains((1 + 1e-12) * r * U))
+
+
+def test_ray_radii_keep_full_precision_on_long_balls():
+    # 1 + excess(u) of a ball reaching out to 1e12 keeps only ~4 digits
+    for ext in (1e4, 1e8, 1e12, 1e15):
+        r = _ray_radii(NormBall(np.diag([1.0, ext**-2])), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert abs(r[0] / ext - 1.0) <= 4e-16 and r[1] == 1.0, ext
+
+
+def test_distance_json_is_its_derivation_and_ball():
+    g, A = FROZEN_CASES["heisenberg"]
+    d = HomogeneousDistance(AlgebraView.of(g), A, _frozen_ball("heisenberg"))
+    obj = json.loads(json.dumps(d.to_json()))
+    assert set(obj) == {"A", "ball"}
+    d2 = HomogeneousDistance(d.view, np.array(obj["A"]), ball_from_json(obj["ball"]))
+    X = np.random.default_rng(18).normal(size=(200, 3))
+    assert np.array_equal(d2.gauge(X), d.gauge(X))
+
+
+def test_sample_in_ball_rejects_a_ball_unbounded_along_an_axis():
+    with pytest.raises(NumericFailure, match="unbounded"):
+        sample_in_ball(PolyBall([[1.0, 0.0]]), 2, 10, np.random.default_rng(0))
 
 
 def test_sphere_polyline_euclidean():
