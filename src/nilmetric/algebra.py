@@ -10,7 +10,6 @@ back to residual tests with an explicit tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,9 +147,6 @@ class LieAlgebra:
             return out
         xf, yf = to_float(x), to_float(y)
         return np.einsum("ijk,i,j->k", self._tensor_float, xf, yf)
-
-    def bracket_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,mi,mj->mk", self._tensor_float, X, Y)
 
     def lower_central_series(self) -> list[np.ndarray]:
         """Exact bases (columns) of g^(2) = [g,g], g^(3) = [g, g^(2)], ..."""
@@ -429,19 +425,6 @@ def matrix_from_json(rows) -> np.ndarray:
     if any(isinstance(x, str) for row in rows for x in row):
         return as_exact([[frac(x) if isinstance(x, (str, int)) else x for x in row] for row in rows])
     return np.array(rows, dtype=float)
-
-
-def matrix_to_json(M) -> list:
-    if is_exact(M):
-        return [[format_frac(x) for x in row] for row in M]
-    return [[float(x) for x in row] for row in np.atleast_2d(to_float(M))]
-
-
-def load_algebra_file(path: str) -> tuple[LieAlgebra, dict]:
-    """Read an algebra JSON file; returns the algebra and the raw object."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    return algebra_from_json(obj), obj
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,7 @@ def cmd_verify(args) -> int:
         raise UsageError("verify needs a derivation")
     d = _built_distance(args, g, op, ball_tag)
     view = d.view
+    n = view.dim
     ax = verify_axioms(d, view, d.A, samples=args.samples, seed=args.seed)
     cv = verify_A_convexity(
         d.ball, view, d.A, samples=args.samples, seed=args.seed, margin=args.margin
@@ -199,6 +200,11 @@ def cmd_verify(args) -> int:
             "violations": cv.violations,
             "worst_excess": cv.worst_excess,
             "ok": cv.ok,
+            # each witness (x, y, lam) has (lam^A x) * ((1-lam)^A y) outside the ball
+            "witnesses": [
+                {"x": w[:n].tolist(), "y": w[n:2 * n].tolist(), "lambda": float(w[-1])}
+                for w in cv.witnesses[:3]
+            ],
         },
     }
     ok = ax.ok and cv.ok

@@ -19,20 +19,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebra, check_automorphism, check_derivation
 from .exact import to_float
 from .grading import classify_automorphism
 from .metric import (
     AlgebraView,
+    DilationAction,
     MetricFunction,
     NumericFailure,
+    SupOverDilations,
     averaged_distance,
     bilipschitz_constants,
     common_period,
     compact_closure_samples,
-    sup_distance,
     torus_grid_mats,
 )
 from .spectral import generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
@@ -213,7 +213,7 @@ def realify(
         dec.K, grid_per_angle=grid_per_angle, view=view
     )
     d_avg = averaged_distance(d, mats)
-    d_out = sup_distance(d_avg, dec.A, lam, grid=mu_grid)
+    d_out = SupOverDilations(d_avg, dec.A, lam, mu_grid)
 
     # the K-invariance defect of the sampled closure (its dilation defect
     # at factor 1) drives the residual below
@@ -276,10 +276,12 @@ def add_compact_part(
     q = common_period(np.array(angles) / angles[0], 4096, 1e-9)
     if q is not None:
         T = 2 * math.pi * q / angles[0]
-        ts = np.linspace(0.0, T, min(grid_per_angle * q, 4096), endpoint=False)
-        return averaged_distance(d, [scipy.linalg.expm(t * Kf) for t in ts])
+        # exp(t K) = mu^(T K) with mu = e^(t/T) in [1, e), which stays
+        # finite for any period T
+        ts = np.linspace(0.0, 1.0, min(grid_per_angle * q, 4096), endpoint=False)
+        return averaged_distance(d, DilationAction(T * Kf).powers(np.exp(ts)))
     # rationally independent angles: product torus grid over the spectral basis
-    generic = scipy.linalg.expm(Kf)  # same eigenvectors, angles = Im spectrum
+    generic = lambda_pow(Kf, math.e)  # same eigenvectors, angles = Im spectrum
     mats, _ = torus_grid_mats(
         generalized_eigenspaces(generic), grid_per_angle, AlgebraView.of(g)
     )

@@ -40,7 +40,13 @@ import numpy as np
 from .exact import to_float
 from .grading import Grading, grading_from_derivation
 from .group import GroupOps, float_nilpotency_step
-from .spectral import SpectralData, generalized_eigenspaces, lambda_pow, spectral_map
+from .spectral import (
+    DilationAction,
+    SpectralData,
+    generalized_eigenspaces,
+    lambda_pow,
+    spectral_map,
+)
 
 __all__ = [
     "NumericFailure",
@@ -63,7 +69,6 @@ __all__ = [
     "MaxOverMaps",
     "SupOverDilations",
     "averaged_distance",
-    "sup_distance",
     "compact_closure_samples",
     "bilipschitz_constants",
     "verify_A_convexity",
@@ -258,111 +263,6 @@ class AlgebraView:
         return GroupOps(self.tensor, self.step)
 
 
-class DilationAction:
-    """Fast evaluation of mu^A x for per-sample scale factors mu.
-
-    Splits A into its commuting semisimple and nilpotent parts once, so a
-    batched application costs a few matrix products instead of one matrix
-    exponential per sample.
-    """
-
-    def __init__(self, A, spec: SpectralData | None = None):
-        self.A = to_float(A)
-        n = self.A.shape[0]
-        if spec is None:
-            spec = generalized_eigenspaces(self.A)
-        self.spec = spec
-        S = spectral_map(self.A, lambda a: a, spec)
-        N = self.A - S
-        scale = max(1.0, float(np.linalg.norm(self.A, 2)))
-        pows = [np.eye(n)]
-        if np.linalg.norm(N, 2) > 1e-12 * scale:
-            for j in range(1, n):
-                nxt = pows[-1] @ N
-                if np.linalg.norm(nxt, 2) <= 1e-12 * scale**j:
-                    break
-                pows.append(nxt)
-        self.npows = pows
-        # real block basis of the semisimple part: 1x1 blocks for real
-        # eigenvalues, 2x2 rotation-scaling blocks for conjugate pairs
-        cols: list[np.ndarray] = []
-        real_idx: list[int] = []
-        real_a: list[float] = []
-        pair_idx: list[int] = []
-        pair_a: list[float] = []
-        pair_b: list[float] = []
-        for c in spec.clusters:
-            if abs(c.value.imag) <= 0:
-                real_idx.extend(range(len(cols), len(cols) + c.multiplicity))
-                real_a.extend([c.value.real] * c.multiplicity)
-                for k in range(c.multiplicity):
-                    cols.append(c.basis[:, k].real)
-            elif c.value.imag > 0:
-                for k in range(c.multiplicity):
-                    pair_idx.append(len(cols))
-                    pair_a.append(c.value.real)
-                    pair_b.append(c.value.imag)
-                    cols.append(c.basis[:, k].real)
-                    cols.append(c.basis[:, k].imag)
-        self.Pr = np.stack(cols, axis=1)
-        self.Prinv = np.linalg.inv(self.Pr)
-        self.real_idx = np.array(real_idx, dtype=int)
-        self.real_a = np.array(real_a)
-        self.pair_idx = np.array(pair_idx, dtype=int)
-        self.pair_a = np.array(pair_a)
-        self.pair_b = np.array(pair_b)
-
-    def apply(self, mus, X: np.ndarray) -> np.ndarray:
-        """Rows of X scaled by mus[i]^A (mus scalar or per-row array)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        mus = np.asarray(mus, dtype=float)
-        if mus.ndim == 0:
-            mus = np.full(X.shape[0], float(mus))
-        if np.any(mus <= 0):
-            raise ValueError("dilation parameters must be positive")
-        return self._dilate(np.log(mus), X)
-
-    def _dilate(self, logm: np.ndarray, X: np.ndarray, logscale=None) -> np.ndarray:
-        """Rows of X times e^(logm[i] A), and times e^(logscale[i]) when
-        given; then every factor is formed in log space, so nothing
-        overflows or turns 0 * inf into NaN that the result does not."""
-        Y = X
-        if len(self.npows) > 1:
-            Y = np.zeros_like(X)
-            fac = np.ones_like(logm)
-            for j, Nj in enumerate(self.npows):
-                if j > 0:
-                    fac = fac * logm / j
-                Y += fac[:, None] * (X @ Nj.T)
-        xi = Y @ self.Prinv.T
-        out = np.empty_like(xi)
-
-        def scaled(v, weights):
-            logf = np.outer(logm, weights)
-            if logscale is None:
-                return v * np.exp(logf)
-            with np.errstate(divide="ignore"):
-                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v)
-
-        if self.real_idx.size:
-            out[:, self.real_idx] = scaled(xi[:, self.real_idx], self.real_a)
-        if self.pair_idx.size:
-            ang = np.outer(logm, self.pair_b)
-            c, s = np.cos(ang), np.sin(ang)
-            u = xi[:, self.pair_idx]
-            v = xi[:, self.pair_idx + 1]
-            # the block of the semisimple part in the (Re b, Im b) basis is
-            # [[a, b], [-b, a]]; row vectors multiply by its exp transposed
-            out[:, self.pair_idx] = scaled(c * u + s * v, self.pair_a)
-            out[:, self.pair_idx + 1] = scaled(-s * u + c * v, self.pair_a)
-        return out @ self.Pr.T
-
-    @property
-    def min_weight(self) -> float:
-        """Smallest real part of the spectrum of A."""
-        return float(np.concatenate([self.real_a, self.pair_a]).min())
-
-
 # ---------------------------------------------------------------------------
 # Tuned inner product
 # ---------------------------------------------------------------------------
@@ -493,11 +393,8 @@ def tuned_norm(
     # diagonalizable cores, for the exact mu^t bound
     cores = [(l.weight, l.core) for l in grading.layers if l.core.shape[1]]
 
-    action = DilationAction(Af, spec)
     mus = np.geomspace(1e-6, 1.0, grid)
-    # row block i of the stacked identity comes back as (mus[i]^A)^T
-    Tmats = action.apply(np.repeat(mus, n), np.tile(np.eye(n), (grid, 1)))
-    Tmats = Tmats.reshape(grid, n, n).transpose(0, 2, 1)
+    Tmats = DilationAction(Af, spec).powers(mus)
 
     eps = 1.0
     last_fail = ""
@@ -610,12 +507,20 @@ def _bilinear_norm_bound(tensor: np.ndarray, gram: np.ndarray) -> float:
 def _ray_radii(ball, U: np.ndarray) -> np.ndarray:
     """Per-row extent sup{r : r u in B} along the rays u = rows of U:
     1 / (1 + excess(u)), since excess + 1 is the ball's 1-homogeneous
-    Minkowski functional.  Where the extent is large, 1 + excess(u)
+    Minkowski functional.  Past an extent of about 1e16, 1 + excess(u)
+    rounds to 0; such rows are read at the rescaled rays s u, s = 1e16,
+    1e32, ... up to 1e128, as s / (1 + excess(s u)).  A row still at 0
+    then is an unbounded ray.  Where the extent is large, 1 + excess
     cancels to few digits; by homogeneity r / (1 + excess(r u)) is the
     same extent, evaluated near the boundary where nothing cancels."""
     U = np.atleast_2d(U)
-    with np.errstate(divide="ignore"):
-        r = 1.0 / (1.0 + ball.excess(U))
+    r = np.full(U.shape[0], np.inf)
+    for scale in 10.0 ** (16 * np.arange(9)):
+        live = ~(np.isfinite(r) & (r > 0))
+        if not live.any():
+            break
+        with np.errstate(divide="ignore"):
+            r[live] = scale / (1.0 + ball.excess(scale * U[live]))
     if not np.all(np.isfinite(r) & (r > 0)):
         raise NumericFailure("ball is unbounded along a ray")
     return r / (1.0 + ball.excess(r[:, None] * U))
@@ -1247,10 +1152,6 @@ def averaged_distance(d: MetricFunction, K_samples: list[np.ndarray]) -> MetricF
         _, keep = np.unique(np.round(canon, 12), axis=0, return_index=True)
         return HomogeneousDistance(d.view, d.A, PolyBall(rows[np.sort(keep)]))
     return MaxOverMaps(d, mats)
-
-
-def sup_distance(d: MetricFunction, A, lam: float, grid: int = 48) -> SupOverDilations:
-    return SupOverDilations(d, A, lam, grid)
 
 
 def common_period(ratios, max_q: int, tol: float) -> int | None:

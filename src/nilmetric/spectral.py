@@ -16,11 +16,9 @@ every function f with f(conj a) = conj(f(a)) yields a real matrix again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exact import (
     as_exact,
@@ -34,13 +32,13 @@ __all__ = [
     "SpectralError",
     "EigenCluster",
     "SpectralData",
+    "DilationAction",
     "generalized_eigenspaces",
     "spectral_map",
     "lambda_pow",
     "lambda_pow_exact",
     "log_unipotent",
     "reconstruct",
-    "subspace_angles_max",
     "DEFAULT_REL_TOL",
 ]
 
@@ -136,7 +134,7 @@ def generalized_eigenspaces(M, tol: float | None = None) -> SpectralData:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
 
-    eigs = scipy.linalg.eigvals(A)
+    eigs = np.linalg.eigvals(A)
     if not np.all(np.isfinite(eigs)):
         raise SpectralError("eigenvalue solver returned non-finite values")
     groups = _cluster_eigenvalues(eigs, tol)
@@ -199,11 +197,11 @@ def generalized_eigenspaces(M, tol: float | None = None) -> SpectralData:
                 )
 
     data = SpectralData(tuple(clusters), float(tol), n)
-    _validate(data, A, scale)
+    _validate(data)
     return data
 
 
-def _validate(data: SpectralData, A: np.ndarray, scale: float) -> None:
+def _validate(data: SpectralData) -> None:
     n = data.dim
     if sum(c.multiplicity for c in data.clusters) != n:
         raise SpectralError("multiplicities do not sum to the dimension")
@@ -244,14 +242,129 @@ def spectral_map(M, f, spec: SpectralData | None = None) -> np.ndarray:
     return Mf.real
 
 
+class DilationAction:
+    """The one-parameter group mu^A = exp(log(mu) A), the library's only
+    matrix exponential.
+
+    Splits A into its commuting semisimple and nilpotent parts once, so a
+    batched application costs a few matrix products instead of one matrix
+    exponential per sample; the eigenbasis behind the split has passed
+    `_validate`, which bounds its conditioning.
+    """
+
+    def __init__(self, A, spec: SpectralData | None = None):
+        self.A = to_float(A)
+        n = self.A.shape[0]
+        if spec is None:
+            spec = generalized_eigenspaces(self.A)
+        S = spectral_map(self.A, lambda a: a, spec)
+        N = self.A - S
+        scale = max(1.0, float(np.linalg.norm(self.A, 2)))
+        pows = [np.eye(n)]
+        if np.linalg.norm(N, 2) > 1e-12 * scale:
+            for j in range(1, n):
+                nxt = pows[-1] @ N
+                if np.linalg.norm(nxt, 2) <= 1e-12 * scale**j:
+                    break
+                pows.append(nxt)
+        self.npows = pows
+        # real block basis of the semisimple part: 1x1 blocks for real
+        # eigenvalues, 2x2 rotation-scaling blocks for conjugate pairs
+        cols: list[np.ndarray] = []
+        real_idx: list[int] = []
+        real_a: list[float] = []
+        pair_idx: list[int] = []
+        pair_a: list[float] = []
+        pair_b: list[float] = []
+        for c in spec.clusters:
+            if abs(c.value.imag) <= 0:
+                real_idx.extend(range(len(cols), len(cols) + c.multiplicity))
+                real_a.extend([c.value.real] * c.multiplicity)
+                for k in range(c.multiplicity):
+                    cols.append(c.basis[:, k].real)
+            elif c.value.imag > 0:
+                for k in range(c.multiplicity):
+                    pair_idx.append(len(cols))
+                    pair_a.append(c.value.real)
+                    pair_b.append(c.value.imag)
+                    cols.append(c.basis[:, k].real)
+                    cols.append(c.basis[:, k].imag)
+        self.Pr = np.stack(cols, axis=1)
+        self.Prinv = np.linalg.inv(self.Pr)
+        self.real_idx = np.array(real_idx, dtype=int)
+        self.real_a = np.array(real_a)
+        self.pair_idx = np.array(pair_idx, dtype=int)
+        self.pair_a = np.array(pair_a)
+        self.pair_b = np.array(pair_b)
+
+    def apply(self, mus, X: np.ndarray) -> np.ndarray:
+        """Rows of X scaled by mus[i]^A (mus scalar or per-row array)."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        mus = np.asarray(mus, dtype=float)
+        if mus.ndim == 0:
+            mus = np.full(X.shape[0], float(mus))
+        if np.any(mus <= 0):
+            raise ValueError("dilation parameters must be positive")
+        return self._dilate(np.log(mus), X)
+
+    def powers(self, mus) -> np.ndarray:
+        """The stack of matrices mus[i]^A, shape (k, n, n)."""
+        mus = np.asarray(mus, dtype=float)
+        n = self.A.shape[0]
+        # row block i of the stacked identity comes back as (mus[i]^A)^T
+        T = self.apply(np.repeat(mus, n), np.tile(np.eye(n), (mus.size, 1)))
+        return T.reshape(mus.size, n, n).transpose(0, 2, 1)
+
+    def _dilate(self, logm: np.ndarray, X: np.ndarray, logscale=None) -> np.ndarray:
+        """Rows of X times e^(logm[i] A), and times e^(logscale[i]) when
+        given; then every factor is formed in log space, so nothing
+        overflows or turns 0 * inf into NaN that the result does not."""
+        Y = X
+        if len(self.npows) > 1:
+            Y = np.zeros_like(X)
+            fac = np.ones_like(logm)
+            for j, Nj in enumerate(self.npows):
+                if j > 0:
+                    fac = fac * logm / j
+                Y += fac[:, None] * (X @ Nj.T)
+        xi = Y @ self.Prinv.T
+        out = np.empty_like(xi)
+
+        def scaled(v, weights):
+            logf = np.outer(logm, weights)
+            if logscale is None:
+                return v * np.exp(logf)
+            with np.errstate(divide="ignore"):
+                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v)
+
+        if self.real_idx.size:
+            out[:, self.real_idx] = scaled(xi[:, self.real_idx], self.real_a)
+        if self.pair_idx.size:
+            ang = np.outer(logm, self.pair_b)
+            c, s = np.cos(ang), np.sin(ang)
+            u = xi[:, self.pair_idx]
+            v = xi[:, self.pair_idx + 1]
+            # the block of the semisimple part in the (Re b, Im b) basis is
+            # [[a, b], [-b, a]]; row vectors multiply by its exp transposed
+            out[:, self.pair_idx] = scaled(c * u + s * v, self.pair_a)
+            out[:, self.pair_idx + 1] = scaled(-s * u + c * v, self.pair_a)
+        return out @ self.Pr.T
+
+    @property
+    def min_weight(self) -> float:
+        """Smallest real part of the spectrum of A."""
+        return float(np.concatenate([self.real_a, self.pair_a]).min())
+
+
 def lambda_pow(A, lam: float) -> np.ndarray:
-    """lam^A = exp(log(lam) * A) for lam > 0, float backend."""
+    """lam^A = exp(log(lam) * A) for lam > 0, float backend, from the
+    split that `DilationAction` makes."""
     if lam <= 0:
         raise ValueError("dilation parameter must be positive")
-    Af = to_float(A)
     if lam == 1.0:
-        return np.eye(Af.shape[0])
-    out = scipy.linalg.expm(math.log(lam) * Af)
+        return np.eye(np.shape(A)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = DilationAction(A).powers([lam])[0]
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"lambda_pow overflowed for lambda={lam}")
     return out
@@ -361,12 +474,6 @@ def reconstruct(spec: SpectralData, M) -> float:
         i += c.multiplicity
     R = (P @ B @ Pinv).real
     return float(np.linalg.norm(R - A, 2))
-
-
-def subspace_angles_max(B1: np.ndarray, B2: np.ndarray) -> float:
-    """Largest principal angle between two column spans (complex allowed)."""
-    ang = scipy.linalg.subspace_angles(np.atleast_2d(B1), np.atleast_2d(B2))
-    return float(np.max(ang)) if ang.size else 0.0
 
 
 def complex_to_json(z: complex) -> dict:

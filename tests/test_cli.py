@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nilmetric
+from nilmetric.algebra import heisenberg
 from nilmetric.cli import main
+from nilmetric.metric import AlgebraView, BuildParams, DilationAction, ball_to_json, build_ball
 
 
 def run(capsys, *argv):
@@ -236,3 +243,35 @@ def test_eval_reuses_built_ball(tmp_path, capsys):
         "--pairs", str(pf),
     )
     assert out1 == out2
+
+
+def test_verify_reports_convexity_witnesses(tmp_path, capsys):
+    g, A = heisenberg(), np.diag([1.0, 1.0, 2.0])
+    ball = build_ball(g, A, params=BuildParams(convexity_samples=2000, cap_samples=2000))
+    thin = ball.with_cap(ball.cap / 100)
+    bf = tmp_path / "thin.json"
+    bf.write_text(json.dumps({"ball": ball_to_json(thin)}))
+    rc, out, _ = run(
+        capsys, "verify", "--catalog", "heisenberg", "--derivation", "standard",
+        "--ball-file", str(bf), "--samples", "2000",
+    )
+    assert rc == 1
+    cv = json.loads(out)["convexity"]
+    assert cv["violations"] > 0 and len(cv["witnesses"]) == min(3, cv["violations"])
+    act, ops = DilationAction(A), AlgebraView.of(g).ops()
+    for w in cv["witnesses"]:
+        x, y, lam = np.array([w["x"]]), np.array([w["y"]]), w["lambda"]
+        assert thin.contains(x)[0] and thin.contains(y)[0]
+        z = ops.product(act.apply(lam, x), act.apply(1.0 - lam, y))
+        assert not thin.contains(z, slack=1e-9)[0]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(nilmetric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, nilmetric.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

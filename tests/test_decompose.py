@@ -202,6 +202,18 @@ def test_add_compact_part_rotation_on_box():
     assert res256 < res64
 
 
+def test_add_compact_part_long_period_samples_the_same_circle():
+    # K = J / 1000 has period 2000 pi; its orbit is the same circle of
+    # rotations as for J, sampled at the same grid angles
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    d0 = HomogeneousDistance(R2V, 2.0 * np.eye(2), box_ball(2))
+    d_fast = add_compact_part(d0, R2, 2.0 * np.eye(2), J, grid_per_angle=64)
+    d_slow = add_compact_part(d0, R2, 2.0 * np.eye(2), J / 1000, grid_per_angle=64)
+    rng = np.random.default_rng(7)
+    X, Y = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+    assert np.allclose(d_slow.pair(X, Y), d_fast.pair(X, Y), rtol=1e-9)
+
+
 def test_add_compact_part_incommensurable_angles_use_torus_grid():
     r4 = abelian(4)
     A = 2.0 * np.eye(4)

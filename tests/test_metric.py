@@ -21,6 +21,7 @@ from nilmetric.metric import (
     LayeredBall,
     MaxOverMaps,
     MetricFunction,
+    SupOverDilations,
     NormBall,
     NumericFailure,
     PolyBall,
@@ -43,7 +44,6 @@ from nilmetric.metric import (
     find_chi_constant,
     sample_in_ball,
     sphere_polyline,
-    sup_distance,
     tuned_norm,
     verify_A_convexity,
     verify_axioms,
@@ -222,6 +222,19 @@ def _catalog_ball(entry, op):
         e.algebra, e.derivations[op],
         params=BuildParams(convexity_samples=2000, cap_samples=2000),
     )
+
+
+@pytest.mark.parametrize("entry,op", CATALOG_YES)
+def test_lambda_pow_takes_every_quotient_derivation(entry, op):
+    # dilate_ball hands lambda_pow the quotient_A of each level; its
+    # spectral split must accept them as the matrix exponential did
+    ball = _catalog_ball(entry, op)
+    while isinstance(ball, LayeredBall):
+        Aq = ball.quotient_A
+        for mu in (0.3, 2.0):
+            want = scipy.linalg.expm(math.log(mu) * Aq)
+            assert np.linalg.norm(lambda_pow(Aq, mu) - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
+        ball = ball.inner
 
 
 @pytest.mark.parametrize("entry,op", CATALOG_YES)
@@ -492,7 +505,7 @@ def test_max_over_maps_generic_path():
 
 def test_sup_distance_fixed_point_of_homogeneous():
     d = build_distance(R2, 2.0 * np.eye(2))
-    d2 = sup_distance(d, 2.0 * np.eye(2), 4.0, grid=16)
+    d2 = SupOverDilations(d, 2.0 * np.eye(2), 4.0, grid=16)
     rng = np.random.default_rng(12)
     X, Y = rng.normal(size=(200, 2)), rng.normal(size=(200, 2))
     assert np.max(np.abs(d2.pair(X, Y) - d.pair(X, Y))) < 1e-10 * 4
@@ -619,6 +632,17 @@ def test_ray_radii_keep_full_precision_on_long_balls():
     for ext in (1e4, 1e8, 1e12, 1e15):
         r = _ray_radii(NormBall(np.diag([1.0, ext**-2])), np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert abs(r[0] / ext - 1.0) <= 4e-16 and r[1] == 1.0, ext
+
+
+def test_ray_radii_reach_past_the_cancellation_limit():
+    # past an extent of ~1e16, 1 + excess(u) rounds to 0 on the ray itself
+    e2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    r = _ray_radii(NormBall(np.diag([1.0, 1e-34])), e2)
+    assert abs(r[0] / 1e17 - 1.0) <= 1e-15 and r[1] == 1.0
+    r = _ray_radii(PolyBall([[1.0, 0.0], [0.0, 1e-30]]), e2)
+    assert abs(r[0] / 1e30 - 1.0) <= 1e-15 and r[1] == 1.0
+    with pytest.raises(NumericFailure, match="unbounded"):
+        _ray_radii(PolyBall([[1.0, 0.0]]), e2)
 
 
 def test_distance_json_is_its_derivation_and_ball():

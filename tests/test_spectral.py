@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nilmetric.catalog import CATALOG
 from nilmetric.exact import as_exact
 from nilmetric.spectral import (
+    DilationAction,
     SpectralError,
     generalized_eigenspaces,
     lambda_pow,
@@ -13,7 +15,6 @@ from nilmetric.spectral import (
     log_unipotent,
     reconstruct,
     spectral_map,
-    subspace_angles_max,
 )
 
 SPIRAL = np.array([[2.0, -1.0], [1.0, 2.0]])
@@ -97,6 +98,40 @@ def test_lambda_pow_nilpotent_terminates():
     assert np.allclose(lambda_pow(A, math.e), [[1, 1], [0, 1]], atol=1e-14)
 
 
+ORACLE_CASES = [
+    (f"{e.name}/{op}", A) for e in CATALOG.values() for op, A in e.derivations.items()
+] + [("spiral", SPIRAL), ("jordan", np.eye(3) + np.eye(3, k=1))]
+
+
+@pytest.mark.parametrize("name,A", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_lambda_pow_matches_expm_oracle(name, A):
+    for lam in (1e-6, 0.3, 2.0, math.e, 10.0, 1e6):
+        want = scipy.linalg.expm(math.log(lam) * np.asarray(A, dtype=float))
+        err = np.linalg.norm(lambda_pow(A, lam) - want, 2) / np.linalg.norm(want, 2)
+        assert err <= 1e-11, (lam, err)
+
+
+def test_lambda_pow_overflow_raises_without_warnings():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (1000.0 * np.eye(2), 1000.0 * (np.eye(2) + 0.001 * np.eye(2, k=1)), 500.0 * SPIRAL):
+            with pytest.raises(OverflowError):
+                lambda_pow(A, 1e6)
+
+
+def test_powers_stack_the_action_on_the_identity():
+    for A in (SPIRAL, np.array([[1.5, 1.0], [0.0, 1.5]]), CATALOG["engel"].derivations["weights-1123"]):
+        act = DilationAction(A)
+        mus = np.array([1e-3, 0.5, 1.0, 3.0, 40.0])
+        P = act.powers(mus)
+        n = act.A.shape[0]
+        assert P.shape == (mus.size, n, n)
+        for i, mu in enumerate(mus):
+            assert np.array_equal(P[i], act.apply(mu, np.eye(n)).T)
+
+
 def test_lambda_pow_exact_rational():
     A = as_exact([[0, 1], [0, 0]])
     E = lambda_pow_exact(A, 1)  # lam = e
@@ -149,7 +184,7 @@ def test_exp_matches_eigenspaces():
         for c in sa.clusters:
             partner = se.cluster_of(np.exp(c.value), tol=1e-5)
             assert partner.multiplicity == c.multiplicity
-            assert subspace_angles_max(c.basis, partner.basis) < 1e-7
+            assert scipy.linalg.subspace_angles(c.basis, partner.basis).max() < 1e-7
 
 
 def test_spectral_data_json():
