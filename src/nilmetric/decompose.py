@@ -280,8 +280,10 @@ def add_compact_part(
         # finite for any period T
         ts = np.linspace(0.0, 1.0, min(grid_per_angle * q, 4096), endpoint=False)
         return averaged_distance(d, DilationAction(T * Kf).powers(np.exp(ts)))
-    # rationally independent angles: product torus grid over the spectral basis
-    generic = lambda_pow(Kf, math.e)  # same eigenvectors, angles = Im spectrum
+    # rationally independent angles: product torus grid over the spectral
+    # basis of a power of exp(K) whose phases are distinct and lie in
+    # (0, 1/2], so none is read as the order-2 phase pi or merged mod 2 pi
+    generic = lambda_pow(Kf, math.exp(0.5 / angles[-1]))
     mats, _ = torus_grid_mats(
         generalized_eigenspaces(generic), grid_per_angle, AlgebraView.of(g)
     )

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import to_float
-from .grading import Grading, grading_from_derivation
+from .grading import WEIGHT_TOL, Grading, grading_from_derivation
 from .group import GroupOps, float_nilpotency_step
 from .spectral import (
     DilationAction,
@@ -316,16 +316,21 @@ def _gram_orthonormalize(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return basis @ np.linalg.inv(L).T
 
 
-def _restricted_opnorm(T: np.ndarray, basis: np.ndarray, gram: np.ndarray):
-    """Operator norm of T restricted to an invariant column span, in the
-    gram inner product; T is one (n, n) matrix or a (k, n, n) stack, and
-    the result a float or a length-k array.  One Cholesky factor serves
-    the whole stack."""
+def _gram_restriction(T: np.ndarray, basis: np.ndarray, gram: np.ndarray):
+    """T on the invariant span of the orthonormal columns of basis, in
+    coordinates orthonormal for the gram product (B^T gram T B for the
+    gram-orthonormalized basis B); T is one (n, n) matrix or a (k, n, n)
+    stack, which shares one Cholesky factor."""
     S = basis.T @ T @ basis  # valid for orthonormal (euclidean) basis columns
     G = basis.T @ gram @ basis
     L = np.linalg.cholesky((G + G.T) / 2.0)
-    M = L.T @ S @ np.linalg.inv(L).T
-    return np.linalg.norm(M, 2, axis=(-2, -1))
+    return L.T @ S @ np.linalg.inv(L).T
+
+
+def _restricted_opnorm(T: np.ndarray, basis: np.ndarray, gram: np.ndarray):
+    """Operator norm of T restricted to an invariant column span, in the
+    gram inner product; a float, or a length-k array for a stack."""
+    return np.linalg.norm(_gram_restriction(T, basis, gram), 2, axis=(-2, -1))
 
 
 @dataclass
@@ -346,31 +351,30 @@ def default_theta(weights, *, general_top: bool = False) -> float:
     return theta
 
 
-def tuned_norm(
-    dim: int,
-    A,
-    theta: float,
-    *,
-    grading: Grading | None = None,
-    weight_tol: float = 1e-7,
-    grid: int = 1000,
-    max_halvings: int = 60,
-    slack: float = 1e-9,
-) -> TunedNorm:
+# epsilon halvings before tuned_norm gives up
+_EPS_HALVINGS = 60
+
+
+def tuned_norm(dim: int, A, theta: float, *, grading: Grading | None = None) -> TunedNorm:
     """Inner product with orthogonal layers in which every dilation
     mu^A, mu <= 1, contracts the weight-t layer by at least mu^(t-theta),
     and by exactly mu^t where A is diagonalizable.
 
     The nilpotent part of A is damped by scaling an eigen-filtration
     basis with powers of epsilon; epsilon starts at 1 and is halved until
-    a mu-grid verification of both bounds passes.  Without a grading,
-    the grading of A is computed with weight_tol.
+    the log-norm certificate of both bounds holds: with C the restriction
+    of A to the layer (or to its diagonalizable core) in gram-orthonormal
+    coordinates, lambda_min((C + C^T) / 2) >= t - theta (>= t on the
+    core), up to an absolute slack of 1e-9 max(1, |A|).  Then
+    |mu^A v| <= mu^lambda_min |v| for mu <= 1 (the logarithmic-norm
+    bound), and the condition is also necessary as mu -> 1.  Without a
+    grading, the grading of A is computed.
     """
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     Af = to_float(A)
     if grading is None:
-        grading = grading_from_derivation(None, Af, weight_tol=weight_tol)
+        grading = grading_from_derivation(None, Af)
     spec = grading.spec
     n = dim
     scale = max(1.0, float(np.linalg.norm(Af, 2)))
@@ -389,16 +393,14 @@ def tuned_norm(
                     cluster_cols[j] = ((c.basis @ Q).conj(), list(levels))
                     break
 
-    layers = [(l.weight, l.basis) for l in grading.layers]
-    # diagonalizable cores, for the exact mu^t bound
-    cores = [(l.weight, l.core) for l in grading.layers if l.core.shape[1]]
-
-    mus = np.geomspace(1e-6, 1.0, grid)
-    Tmats = DilationAction(Af, spec).powers(mus)
+    # (lower bound on the log-norm rate, weight, basis): every layer, then
+    # every diagonalizable core
+    checks = [(l.weight - theta, l.weight, l.basis) for l in grading.layers]
+    checks += [(l.weight, l.weight, l.core) for l in grading.layers if l.core.shape[1]]
 
     eps = 1.0
     last_fail = ""
-    for _ in range(max_halvings + 1):
+    for _ in range(_EPS_HALVINGS + 1):
         cols = []
         for i in range(len(spec.clusters)):
             Q, levels = cluster_cols[i]
@@ -410,28 +412,17 @@ def tuned_norm(
             raise NumericFailure("tuned inner product failed to be real")
         gram = (H.real + H.real.T) / 2.0
 
-        ok = True
-        for bound_shift, family in ((theta, layers), (0.0, cores)):
-            if not ok:
+        for rate, weight, basis in checks:
+            C = _gram_restriction(Af, basis, gram)
+            low = float(np.linalg.eigvalsh((C + C.T) / 2.0)[0])
+            if low < rate - 1e-9 * scale:
+                last_fail = f"t={weight:g}: log-norm rate {low:.6g} < {rate:g}"
                 break
-            for weight, basis in family:
-                bound = mus ** (weight - bound_shift)
-                norms = _restricted_opnorm(Tmats, basis, gram)
-                bad = norms > bound * (1.0 + slack)
-                if np.any(bad):
-                    i = int(np.argmax(norms / bound))
-                    last_fail = (
-                        f"t={weight:g} (shift {bound_shift:g}): |mu^A| = "
-                        f"{norms[i]:.6g} > mu^{weight - bound_shift:g} = "
-                        f"{bound[i]:.6g} at mu = {mus[i]:.3g}"
-                    )
-                    ok = False
-                    break
-        if ok:
+        else:
             return TunedNorm(gram, theta, eps, grading)
         eps *= 0.5
     raise NumericFailure(
-        f"tuned norm verification failed after {max_halvings} halvings: {last_fail}"
+        f"tuned norm verification failed after {_EPS_HALVINGS} halvings: {last_fail}"
     )
 
 
@@ -481,14 +472,13 @@ def find_chi_constant(
 
 @dataclass
 class BuildParams:
-    weight_tol: float = 1e-7
-    theta: float | None = None
-    eps_grid: int = 1000
     convexity_samples: int = 20000
     cap_samples: int = 10**4
-    cap_budget: int = 20
-    margin: float = 1e-9
     seed: int = 12345
+
+
+# cap doublings before a layered build gives up
+_CAP_DOUBLINGS = 20
 
 
 def _bilinear_norm_bound(tensor: np.ndarray, gram: np.ndarray) -> float:
@@ -632,16 +622,15 @@ def _build_layered(
 
     C = max(cap_floor, 1.5 * ratio_lam / 2.0, 1.5 * ratio_pair / 2.0, 1e-12)
     ball = LayeredBall(top_map, C, proj, quotient_A, inner_ball)
-    for _ in range(params.cap_budget + 1):
+    for _ in range(_CAP_DOUBLINGS + 1):
         report = verify_A_convexity(
-            ball, view, A, samples=params.convexity_samples,
-            seed=int(rng.integers(2**31)), margin=params.margin,
+            ball, view, A, samples=params.convexity_samples, seed=int(rng.integers(2**31))
         )
         if report.ok:
             return ball
         ball = ball.with_cap(ball.cap * 2.0)
     raise NumericFailure(
-        f"cap search exhausted its budget of {params.cap_budget} doublings "
+        f"cap search exhausted its budget of {_CAP_DOUBLINGS} doublings "
         f"(last violation excess {report.worst_excess:.3e})"
     )
 
@@ -651,10 +640,8 @@ def _build_recursive(
 ):
     weights = grading.weights
     if view.is_abelian:
-        theta = params.theta if params.theta is not None else default_theta(weights)
-        tuned = tuned_norm(view.dim, A, theta, grading=grading, grid=params.eps_grid)
-        return NormBall(tuned.gram)
-    if max(weights) <= 2 + params.weight_tol:
+        return NormBall(tuned_norm(view.dim, A, default_theta(weights), grading=grading).gram)
+    if max(weights) <= 2 + WEIGHT_TOL:
         return _build_two_layer(view, A, grading, params, rng)
     return _build_general(view, A, grading, params, rng)
 
@@ -679,7 +666,7 @@ def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.nda
 
 def _build_quotient(qview: AlgebraView, A_hat: np.ndarray, params: BuildParams, rng):
     """Ball on a quotient, graded afresh by the induced derivation."""
-    grading = grading_from_derivation(None, A_hat, weight_tol=params.weight_tol)
+    grading = grading_from_derivation(None, A_hat)
     return _build_recursive(qview, A_hat, grading, params, rng)
 
 
@@ -687,12 +674,10 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
     """Top weight <= 2: cap the diagonalizable weight-2 core W (it contains
     [g, g]) and put the Abelian tuned norm ball on the quotient."""
     n = view.dim
-    theta = params.theta if params.theta is not None else default_theta(grading.weights)
-    tuned = tuned_norm(n, A, theta, grading=grading, grid=params.eps_grid)
-    gram = tuned.gram
+    gram = tuned_norm(n, A, default_theta(grading.weights), grading=grading).gram
 
     # W = real form of the eigenvector (not just generalized) spaces at Re a = 2
-    v2 = grading.layer_at(2.0, params.weight_tol)
+    v2 = grading.layer_at(2.0)
     if v2 is None or v2.core.shape[1] == 0:
         raise NumericFailure(
             "non-Abelian algebra with top weight <= 2 has no diagonalizable "
@@ -746,11 +731,8 @@ def _nilpotent_index_on(N, basis) -> int:
 def _build_general(view, A, grading: Grading, params, rng):
     """Top weight > 2: cap the top layer and recurse on the quotient."""
     n = view.dim
-    theta = params.theta if params.theta is not None else default_theta(
-        grading.weights, general_top=True
-    )
-    tuned = tuned_norm(n, A, theta, grading=grading, grid=params.eps_grid)
-    gram = tuned.gram
+    theta = default_theta(grading.weights, general_top=True)
+    gram = tuned_norm(n, A, theta, grading=grading).gram
     *lower, top_layer = grading.layers
     top = top_layer.basis
 
@@ -783,7 +765,7 @@ def build_ball(g, A, *, params: BuildParams | None = None):
     from .grading import classify_derivation
 
     params = params or BuildParams()
-    verdict = classify_derivation(g, A, weight_tol=params.weight_tol)
+    verdict = classify_derivation(g, A)
     if not verdict.answer:
         raise BuildRejected(verdict)
     view = AlgebraView.of(g)

@@ -252,11 +252,10 @@ class DilationAction:
     `_validate`, which bounds its conditioning.
     """
 
-    def __init__(self, A, spec: SpectralData | None = None):
+    def __init__(self, A):
         self.A = to_float(A)
         n = self.A.shape[0]
-        if spec is None:
-            spec = generalized_eigenspaces(self.A)
+        spec = generalized_eigenspaces(self.A)
         S = spectral_map(self.A, lambda a: a, spec)
         N = self.A - S
         scale = max(1.0, float(np.linalg.norm(self.A, 2)))

@@ -202,6 +202,23 @@ def test_add_compact_part_rotation_on_box():
     assert res256 < res64
 
 
+def test_add_compact_part_torus_with_phase_pi():
+    # angles {pi, 1} are rationally independent, so the closure is sampled
+    # as a torus grid; the angle pi must not collapse to the order-2 group
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    K = scipy.linalg.block_diag(math.pi * J, J)
+    A = 2.0 * np.eye(4)
+    R4 = abelian(4)
+    d0 = HomogeneousDistance(AlgebraView.of(R4), A, box_ball(4))
+    d = add_compact_part(d0, R4, A, K)
+    rng = np.random.default_rng(3)
+    X, Y = rng.normal(size=(200, 4)), rng.normal(size=(200, 4))
+    base = d.pair(X, Y)
+    for t in np.linspace(0.0, 1.0, 11)[1:]:
+        R = scipy.linalg.expm(t * K)
+        assert np.max(np.abs(d.pair(X @ R.T, Y @ R.T) - base) / base) < 2e-3
+
+
 def test_add_compact_part_long_period_samples_the_same_circle():
     # K = J / 1000 has period 2000 pi; its orbit is the same circle of
     # rotations as for J, sampled at the same grid angles

@@ -26,6 +26,7 @@ from nilmetric.metric import (
     NumericFailure,
     PolyBall,
     _exponent_floor,
+    _gram_restriction,
     _illinois_log_gauge,
     _ray_radii,
     _restricted_opnorm,
@@ -155,7 +156,7 @@ def test_restricted_opnorm_stack_matches_per_matrix():
 
 @pytest.mark.parametrize("A, theta", [(SHEAR15, 0.25), (SPIRAL, 0.5)])
 def test_tuned_norm_holds_layer_bounds_on_whole_grid(A, theta):
-    # the default verification grid, with mu^A recomputed independently
+    # a 1000-point mu grid down to 1e-6, with mu^A recomputed independently
     tn = tuned_norm(2, A, theta)
     mus = np.geomspace(1e-6, 1.0, 1000)
     checks = []
@@ -168,6 +169,84 @@ def test_tuned_norm_holds_layer_bounds_on_whole_grid(A, theta):
             T = scipy.linalg.expm(math.log(mu) * A)
             op = _gram_opnorm_oracle(T, basis, tn.gram)
             assert op <= mu ** (weight - shift) * (1 + 1e-8)
+
+
+def test_log_norm_certificate_bounds_the_restricted_dilations():
+    # lambda_min of the symmetric part of A on an invariant span, in
+    # gram-orthonormal coordinates, bounds |mu^A v|_G <= mu^low |v|_G for
+    # mu <= 1 and is the one-sided derivative of the bound at mu = 1;
+    # oracle: expm of the euclidean block and a generalized eigenproblem
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n + 1))
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        M = rng.normal(size=(n, n))
+        M[k:, :k] = 0.0  # span(Q[:, :k]) is A-invariant
+        A = Q @ M @ Q.T
+        basis = Q[:, :k]
+        R = rng.normal(size=(n, n))
+        gram = R @ R.T + 0.1 * np.eye(n)
+        C = _gram_restriction(A, basis, gram)
+        low = np.linalg.eigvalsh((C + C.T) / 2.0)[0]
+        S = basis.T @ A @ basis
+        G = basis.T @ gram @ basis
+
+        def op(mu):
+            T = scipy.linalg.expm(math.log(mu) * S)
+            return math.sqrt(scipy.linalg.eigh(T.T @ G @ T, G, eigvals_only=True)[-1])
+
+        for mu in np.geomspace(1e-12, 1.0, 60):
+            assert op(mu) <= mu**low * (1 + 1e-9)
+        s = 1e-5
+        rate = -math.log(op(math.exp(-s))) / s
+        assert abs(rate - low) <= 1e-6 * max(1.0, np.linalg.norm(C, 2) ** 2)
+
+
+def _changed_basis(g, A, seed):
+    """g and A in the basis of the columns of a seeded integer unimodular
+    P = U L (U unit upper-, L unit lower-triangular, entries in {-1, 0, 1}):
+    the structure constants stay integral and A becomes P^-1 A P."""
+    rng = np.random.default_rng(seed)
+    n = g.dim
+    U = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n, dtype=int)
+    L = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n, dtype=int)
+    P = U @ L
+    Pinv = np.rint(np.linalg.inv(P)).astype(int)
+    assert (P @ Pinv == np.eye(n, dtype=int)).all()
+    C = np.einsum("ia,jb,ijk,lk->abl", P, P, np.rint(g.tensor).astype(int), Pinv)
+    brackets = {
+        (a, b): {k: int(C[a, b, k]) for k in np.flatnonzero(C[a, b])}
+        for a in range(n)
+        for b in range(a + 1, n)
+        if C[a, b].any()
+    }
+    return LieAlgebra(n, brackets, name=g.name), Pinv @ A @ P
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in ("engel", "free23") for seed in range(3)]
+    + [("filiform-7", 0), ("filiform-7", 1)],
+)
+def test_build_ball_in_changed_bases(name, seed):
+    g, A = FROZEN_CASES[name]
+    g2, A2 = _changed_basis(g, A, seed)
+    build_ball(g2, A2, params=BuildParams(convexity_samples=2000, cap_samples=2000))
+    theta = default_theta(classify_derivation(g, A).grading.weights, general_top=True)
+    tn = tuned_norm(g.dim, A2, theta)
+    assert tn.epsilon == tuned_norm(g.dim, A, theta).epsilon
+    # every layer bound, on the layer's own block exponential in
+    # gram-orthonormal coordinates (no n x n matrix is restricted)
+    for layer in tn.grading.layers:
+        for rate, basis in ((layer.weight - theta, layer.basis), (layer.weight, layer.core)):
+            if not basis.shape[1]:
+                continue
+            B = basis @ np.linalg.inv(scipy.linalg.sqrtm(basis.T @ tn.gram @ basis).real)
+            block = np.linalg.lstsq(B, A2 @ B, rcond=None)[0]
+            for mu in np.geomspace(1e-6, 1.0, 50):
+                op = np.linalg.norm(scipy.linalg.expm(math.log(mu) * block), 2)
+                assert op <= mu**rate * (1 + 1e-8)
 
 
 def test_default_theta():
