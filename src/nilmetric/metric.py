@@ -45,7 +45,6 @@ from .spectral import (
     SpectralData,
     generalized_eigenspaces,
     lambda_pow,
-    spectral_map,
 )
 
 __all__ = [
@@ -100,7 +99,11 @@ class BuildRejected(ValueError):
 #
 # Each ball's excess(x) + 1 is its Minkowski functional, positively
 # 1-homogeneous in x (excess(r x) + 1 = r (excess(x) + 1) for r >= 0);
-# `_ray_radii` reads the ball's extents off it.
+# `_ray_radii` reads the ball's extents off it for `sphere_polyline`.
+# `sample_in_ball` draws uniform points from each variant's own
+# structure: a linear image of a euclidean ball for NormBall, a product
+# of the cap ball and the inner ball for LayeredBall, and the
+# parallelepiped of n independent rows for PolyBall.
 # ---------------------------------------------------------------------------
 
 
@@ -516,22 +519,92 @@ def _ray_radii(ball, U: np.ndarray) -> np.ndarray:
     return r / (1.0 + ball.excess(r[:, None] * U))
 
 
+def _unit_ball_draws(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points uniform in the euclidean unit k-ball: a Gaussian
+    direction scaled by U^(1/k) (Muller, Comm. ACM 2(4), 1959)."""
+    G = rng.standard_normal((count, k))
+    r = rng.random(count) ** (1.0 / max(k, 1))
+    norms = np.linalg.norm(G, axis=1)
+    return G * (r / np.where(norms > 0, norms, 1.0))[:, None]
+
+
+def _spanning_rows(rows: np.ndarray) -> np.ndarray:
+    """n independent rows of an (m, n) row set, each the one with the
+    largest component orthogonal to those already taken (a large |det|,
+    so a small parallelepiped {|B x|_inf <= 1} around the polytope)."""
+    n = rows.shape[1]
+    R = rows.copy()
+    tol = 1e-12 * max(1.0, float(np.abs(rows).max(initial=0.0)))
+    picked = []
+    for _ in range(n):
+        norms = np.linalg.norm(R, axis=1)
+        i = int(np.argmax(norms))
+        if norms[i] <= tol:
+            raise NumericFailure(
+                f"polytope rows have rank {len(picked)} < {n}; the ball is unbounded"
+            )
+        picked.append(i)
+        q = R[i] / norms[i]
+        R -= np.outer(R @ q, q)
+    return rows[picked]
+
+
+# rounds of parallelepiped draws before a PolyBall draw gives up, and the
+# rows drawn in one round at most
+_POLY_ROUNDS = 64
+_POLY_ROUND_ROWS = 1 << 18
+
+
 def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rejection sampling from a box of 1.5 times the axis extents, since
-    a tilted ball reaches past them (approximately uniform; only
-    membership matters for the convexity checks)."""
-    radii = _ray_radii(ball, np.eye(dim)) * 1.5
-    out = np.empty((0, dim))
-    attempts = 0
-    while out.shape[0] < count:
-        attempts += 1
-        m = max(4 * count, 1024)
-        X = rng.uniform(-1.0, 1.0, size=(m, dim)) * radii[None, :]
-        X = X[ball.contains(X)]
-        out = np.vstack([out, X])
-        if attempts > 200:
-            raise NumericFailure("rejection sampling acceptance rate too low")
-    return out[:count]
+    """count points drawn uniformly from the ball, read off its structure.
+
+    * NormBall: x = L^-T u with u uniform in the unit n-ball and
+      gram = L L^T, so x^T gram x = |u|^2.
+    * LayeredBall: in the coordinates M x, M = [top_map; proj] (square
+      and invertible: proj vanishes exactly on the capped span, where
+      top_map is injective) the ball is the product of the cap-radius
+      ball and the inner ball; so x = M^-1 [a; b] with a uniform in the
+      cap ball and b drawn from the inner ball.  This holds for dilated
+      and deserialized balls alike.
+    * PolyBall: uniform draws from the parallelepiped of n independent
+      rows, which contains the polytope, kept where inside (a box keeps
+      every draw).
+    """
+    if ball.dim != dim:
+        raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
+    if isinstance(ball, NormBall):
+        # rows u^T L^-1 are the points L^-T u
+        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
+        return _unit_ball_draws(dim, count, rng) @ np.linalg.inv(L)
+    if isinstance(ball, LayeredBall):
+        a = ball.cap * _unit_ball_draws(ball.top_map.shape[0], count, rng)
+        b = sample_in_ball(ball.inner, ball.inner.dim, count, rng)
+        M = np.vstack([ball.top_map, ball.proj])
+        try:
+            return np.hstack([a, b]) @ np.linalg.inv(M).T
+        except np.linalg.LinAlgError as err:
+            raise NumericFailure(
+                f"[top_map; proj] of a layered ball is not invertible: {err}"
+            ) from err
+    if isinstance(ball, PolyBall):
+        Binv = np.linalg.inv(_spanning_rows(ball.rows))
+        parts, got, drawn = [np.empty((0, dim))], 0, 0
+        for _ in range(_POLY_ROUNDS):
+            if got >= count:
+                break
+            # the acceptance so far sizes the next round
+            m = count if drawn == 0 else (count - got) * drawn // max(got, 1) + 64
+            m = min(m, _POLY_ROUND_ROWS)
+            X = rng.uniform(-1.0, 1.0, size=(m, dim)) @ Binv.T
+            parts.append(X[ball.contains(X)])
+            got += parts[-1].shape[0]
+            drawn += m
+        if got < count:
+            raise NumericFailure(
+                f"polytope kept {got} of {drawn} parallelepiped draws in {_POLY_ROUNDS} rounds"
+            )
+        return np.vstack(parts)[:count]
+    raise TypeError(f"cannot sample ball of type {type(ball).__name__}")
 
 
 @dataclass
@@ -554,9 +627,10 @@ def verify_A_convexity(
     seed: int = 0,
     margin: float = 1e-9,
 ) -> ConvexityReport:
-    """Sampled check of closure under (lam^A x) * ((1-lam)^A y)."""
+    """Sampled check of closure under (lam^A x) * ((1-lam)^A y).  A is
+    the derivation or a DilationAction of it (a build passes its own)."""
     rng = np.random.default_rng(seed)
-    action = DilationAction(to_float(A))
+    action = A if isinstance(A, DilationAction) else DilationAction(to_float(A))
     ops = view.ops()
     X = sample_in_ball(ball, view.dim, samples, rng)
     Y = sample_in_ball(ball, view.dim, samples, rng)
@@ -584,7 +658,7 @@ def _gram_complement(gram: np.ndarray, sub_onb: np.ndarray) -> np.ndarray:
 
 def _build_layered(
     view: AlgebraView,
-    A: np.ndarray,
+    action: DilationAction,
     gram: np.ndarray,
     top_basis: np.ndarray,
     inner_ball,
@@ -596,11 +670,11 @@ def _build_layered(
     rng: np.random.Generator,
 ):
     """Assemble a LayeredBall, estimate its cap by sampling, then validate
-    dilation-convexity and double the cap until it passes."""
+    dilation-convexity and double the cap until it passes; action is the
+    level's DilationAction, shared by every check."""
     top_gonb = _gram_orthonormalize(top_basis, gram)
     top_map = top_gonb.T @ gram
     ops = view.ops()
-    action = DilationAction(A)
 
     m = params.cap_samples
     XI = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
@@ -624,7 +698,7 @@ def _build_layered(
     ball = LayeredBall(top_map, C, proj, quotient_A, inner_ball)
     for _ in range(_CAP_DOUBLINGS + 1):
         report = verify_A_convexity(
-            ball, view, A, samples=params.convexity_samples, seed=int(rng.integers(2**31))
+            ball, view, action, samples=params.convexity_samples, seed=int(rng.integers(2**31))
         )
         if report.ok:
             return ball
@@ -704,9 +778,9 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
         inner = NormBall(inner.gram / evals[0] * (1.0 + 1e-12))
 
     # analytic cap floor from the chi function and the bracket bound
-    N = A - spectral_map(A, lambda a: a, grading.spec)
-    nu = _restricted_opnorm(N, v2.basis, gram)
-    m2 = _nilpotent_index_on(N, v2.basis)
+    action = DilationAction(A)
+    nu = _restricted_opnorm(action.N, v2.basis, gram)
+    m2 = _nilpotent_index_on(action.N, v2.basis)
     kappa = sum(nu**j / math.factorial(j) for j in range(1, max(m2, 1)))
     Cb = _bilinear_norm_bound(view.tensor, gram)
     if kappa > 0:
@@ -714,7 +788,7 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
     else:
         floor = Cb / 4.0
     return _build_layered(
-        view, A, gram, W, inner, A_hat, proj, comp_gonb, floor, params, rng
+        view, action, gram, W, inner, A_hat, proj, comp_gonb, floor, params, rng
     )
 
 
@@ -752,7 +826,7 @@ def _build_general(view, A, grading: Grading, params, rng):
         inner = dilate_ball(inner, A_hat, 1.0 / S)
 
     return _build_layered(
-        view, A, gram, top, inner, A_hat, proj, comp_gonb, 0.0, params, rng
+        view, DilationAction(A), gram, top, inner, A_hat, proj, comp_gonb, 0.0, params, rng
     )
 
 

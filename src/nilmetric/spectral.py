@@ -256,8 +256,8 @@ class DilationAction:
         self.A = to_float(A)
         n = self.A.shape[0]
         spec = generalized_eigenspaces(self.A)
-        S = spectral_map(self.A, lambda a: a, spec)
-        N = self.A - S
+        # the nilpotent part of A
+        self.N = N = self.A - spectral_map(self.A, lambda a: a, spec)
         scale = max(1.0, float(np.linalg.norm(self.A, 2)))
         pows = [np.eye(n)]
         if np.linalg.norm(N, 2) > 1e-12 * scale:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from nilmetric.algebra import LieAlgebra, abelian, engel, heisenberg
 from nilmetric.catalog import CATALOG
@@ -247,6 +248,20 @@ def test_build_ball_in_changed_bases(name, seed):
             for mu in np.geomspace(1e-6, 1.0, 50):
                 op = np.linalg.norm(scipy.linalg.expm(math.log(mu) * block), 2)
                 assert op <= mu**rate * (1 + 1e-8)
+
+
+@pytest.mark.slow
+def test_build_ball_in_every_changed_basis():
+    # the full {-1, 0, 1} sweep: 20 seeds for each of the four algebras,
+    # with the default build parameters
+    failed = []
+    for name, (g, A) in FROZEN_CASES.items():
+        for seed in range(20):
+            try:
+                build_ball(*_changed_basis(g, A, seed))
+            except Exception as err:  # counted, and named in the message
+                failed.append((name, seed, repr(err)))
+    assert not failed, f"{80 - len(failed)}/80 built; failures: {failed}"
 
 
 def test_default_theta():
@@ -737,6 +752,84 @@ def test_distance_json_is_its_derivation_and_ball():
 def test_sample_in_ball_rejects_a_ball_unbounded_along_an_axis():
     with pytest.raises(NumericFailure, match="unbounded"):
         sample_in_ball(PolyBall([[1.0, 0.0]]), 2, 10, np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def sampled_balls():
+    small = BuildParams(convexity_samples=2000, cap_samples=2000)
+    built = {name: build_ball(*FROZEN_CASES[name], params=small) for name in ("engel", "filiform-7")}
+    return {
+        **built,
+        "filiform-7 dilated": dilate_ball(built["filiform-7"], FROZEN_CASES["filiform-7"][1], 0.6),
+        "engel from json": ball_from_json(json.loads(json.dumps(ball_to_json(built["engel"])))),
+    }
+
+
+SAMPLED = ["engel", "filiform-7", "filiform-7 dilated", "engel from json"]
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sample_in_ball_draws_are_inside(sampled_balls, name):
+    ball = sampled_balls[name]
+    X = sample_in_ball(ball, ball.dim, 20000, np.random.default_rng(21))
+    assert X.shape == (20000, ball.dim)
+    assert ball.contains(X).all()
+
+
+@pytest.mark.parametrize("name", SAMPLED)
+def test_sample_in_ball_halves_every_cap_by_volume(sampled_balls, name):
+    # a uniform draw in a k-dimensional cap ball lies in the ball of radius
+    # cap 2^(-1/k), half its volume, with probability 1/2 at every level
+    ball = sampled_balls[name]
+    m = 20000
+    X = sample_in_ball(ball, ball.dim, m, np.random.default_rng(22))
+    levels = 0
+    while isinstance(ball, LayeredBall):
+        k = ball.top_map.shape[0]
+        share = np.mean(np.linalg.norm(X @ ball.top_map.T, axis=1) <= ball.cap * 2.0 ** (-1.0 / k))
+        assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / m), (levels, share)
+        ball, X = ball.inner, X @ ball.proj.T
+        levels += 1
+    assert levels >= 2
+
+
+def test_sample_in_norm_ball_is_uniform():
+    # for x uniform in {x^T G x <= 1} (G = L L^T), |L^T x|^n is uniform on [0, 1]
+    rng = np.random.default_rng(23)
+    n = 4
+    M = rng.normal(size=(n, n))
+    gram = M @ M.T + 0.1 * np.eye(n)
+    X = sample_in_ball(NormBall(gram), n, 5000, rng)
+    L = np.linalg.cholesky(gram)
+    q = np.linalg.norm(X @ L, axis=1) ** n
+    assert scipy.stats.kstest(q, "uniform").pvalue > 0.01
+
+
+def test_sample_in_ball_covers_a_tilted_ellipse():
+    # a 45-degree ellipse with semi-axes 10 and 0.1 reaches out to 0.1414 on
+    # both axes; the box of 1.5 times those extents holds at most 5.7% of
+    # its area, so a sampler confined to that box misses the rest
+    c = math.sqrt(0.5)
+    R = np.array([[c, -c], [c, c]])
+    ball = NormBall(R @ np.diag([1e-2, 1e2]) @ R.T)
+    box = 1.5 * _ray_radii(ball, np.eye(2))
+    X = sample_in_ball(ball, 2, 20000, np.random.default_rng(24))
+    assert ball.contains(X).all()
+    assert np.mean((np.abs(X) > box).any(axis=1)) >= 0.94
+
+
+def test_sample_in_poly_ball():
+    # a box keeps every parallelepiped draw: the draws are the uniform ones
+    X = sample_in_ball(box_ball(3), 3, 1000, np.random.default_rng(25))
+    assert np.array_equal(X, np.random.default_rng(25).uniform(-1.0, 1.0, size=(1000, 3)))
+    # a hexagon: every draw inside, a quarter of them in the half-size hexagon
+    angles = np.arange(3) * np.pi / 3
+    hexagon = PolyBall(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    m = 20000
+    X = sample_in_ball(hexagon, 2, m, np.random.default_rng(26))
+    assert X.shape == (m, 2) and hexagon.contains(X).all()
+    share = np.mean(hexagon.contains(2.0 * X))
+    assert abs(share - 0.25) <= 5 * math.sqrt(0.25 * 0.75 / m)
 
 
 def test_sphere_polyline_euclidean():
