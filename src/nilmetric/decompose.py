@@ -66,14 +66,11 @@ class DilationDecomposition:
         }
 
 
-def decompose_automorphism(
-    g: LieAlgebra,
-    phi,
-    lam: float,
-    *,
-    tol: float = 1e-9,
-    spectral_tol: float | None = None,
-) -> DilationDecomposition:
+# relative defect up to which realify takes delta for a dilation of d
+_DILATION_TOL = 1e-6
+
+
+def decompose_automorphism(g: LieAlgebra, phi, lam: float) -> DilationDecomposition:
     """Factor a verified automorphism as K * lam^A.
 
     K collects the eigenvalue phases, exp of the log-modulus map collects
@@ -86,7 +83,7 @@ def decompose_automorphism(
     chk = check_automorphism(g, Pf)
     if not chk:
         raise ValueError(f"not an automorphism: {chk.message}")
-    spec = generalized_eigenspaces(Pf, spectral_tol)
+    spec = generalized_eigenspaces(Pf)
     if any(abs(c.value) < 1e-12 for c in spec.clusters):
         raise ValueError("automorphism has a numerically singular eigenvalue")
 
@@ -98,7 +95,7 @@ def decompose_automorphism(
     except ValueError as err:
         raise NumericFailure(
             f"unipotent remainder failed its nilpotency check ({err}); "
-            "eigenvalue clustering may need a coarser tolerance"
+            "the eigenvalue clusters of phi are not numerically separated"
         ) from err
     A = (A_tilde + D) / math.log(lam)
 
@@ -123,11 +120,11 @@ def decompose_automorphism(
     residuals["A_derivation"] = ad.residual if ad else float("inf")
 
     checks = {
-        "product": tol,
+        "product": 1e-9,
         "imag_spectrum": 1e-8,
-        "K_modulus": tol,
+        "K_modulus": 1e-9,
         "K_diagonalizable": 0.5,
-        "commutator": tol * scale,
+        "commutator": 1e-9 * scale,
     }
     for key, bound in checks.items():
         if residuals[key] > bound:
@@ -156,12 +153,12 @@ class RealifyResult:
 
 
 def _sampled_dilation_defect(
-    d: MetricFunction, delta: np.ndarray, lam: float, samples: int, seed: int, spread: float = 2.0
+    d: MetricFunction, delta: np.ndarray, lam: float, samples: int, seed: int
 ) -> float:
     rng = np.random.default_rng(seed)
     n = delta.shape[0]
-    X = rng.normal(size=(samples, n)) * spread
-    Y = rng.normal(size=(samples, n)) * spread
+    X = rng.normal(size=(samples, n)) * 2.0
+    Y = rng.normal(size=(samples, n)) * 2.0
     base = d.pair_chunked(X, Y)
     scaled = d.pair_chunked(X @ delta.T, Y @ delta.T)
     return float(np.max(np.abs(scaled - lam * base) / np.maximum(lam * base, 1e-300)))
@@ -174,10 +171,8 @@ def realify(
     lam: float,
     *,
     mu_grid: int = 48,
-    grid_per_angle: int = 64,
     check_samples: int = 2000,
     seed: int = 0,
-    dilation_tol: float = 1e-6,
 ) -> RealifyResult:
     """Replace a distance with one dilating automorphism by a biLipschitz
     equivalent distance homogeneous under a real-spectrum derivation.
@@ -197,7 +192,7 @@ def realify(
         Df = np.linalg.inv(Df)
         lam = 1.0 / lam
     defect = _sampled_dilation_defect(d, Df, lam, check_samples, seed)
-    if defect > dilation_tol:
+    if defect > _DILATION_TOL:
         raise ValueError(
             f"delta is not a sampled dilation of factor {lam:g} for d "
             f"(relative defect {defect:.2e})"
@@ -209,9 +204,7 @@ def realify(
         )
     dec = decompose_automorphism(g, Df, lam)
     view = AlgebraView.of(g)
-    mats, info = compact_closure_samples(
-        dec.K, grid_per_angle=grid_per_angle, view=view
-    )
+    mats, info = compact_closure_samples(dec.K, view=view)
     d_avg = averaged_distance(d, mats)
     d_out = SupOverDilations(d_avg, dec.A, lam, mu_grid)
 
@@ -229,7 +222,7 @@ def realify(
     L1, L2, bl_info = bilipschitz_constants(
         d, d_out, Df, lam,
         samples=check_samples, seed=seed + 3,
-        dilation_tol=max(dilation_tol, 2 * invariance_defect + 1e-9),
+        dilation_tol=max(_DILATION_TOL, 2 * invariance_defect + 1e-9),
     )
     return RealifyResult(
         dec.A, d_out, dec, info, residual, invariance_defect, (L1, L2), bl_info

@@ -41,6 +41,7 @@ __all__ = [
     "WEIGHT_TOL",
 ]
 
+# eigenvalue weights within this of each other form one layer
 WEIGHT_TOL = 1e-7
 
 
@@ -129,15 +130,15 @@ def _real_basis(blocks: list[np.ndarray]) -> np.ndarray:
     return U[:, :dim_real]
 
 
-def _layers(M: np.ndarray, spec: SpectralData, weight_of, weight_tol: float):
+def _layers(M: np.ndarray, spec: SpectralData, weight_of):
     """Clusters of M grouped by weight_of(cluster) (transitive closure
-    within weight_tol), each group's real generalized eigenspace and the
+    within WEIGHT_TOL), each group's real generalized eigenspace and the
     real span of its eigenvectors, the diagonalizable core."""
     n = M.shape[0]
     scale = max(1.0, float(np.linalg.norm(M, 2)))
     groups: list[list] = []
     for w, c in sorted(((weight_of(c), c) for c in spec.clusters), key=lambda p: p[0]):
-        if groups and abs(w - groups[-1][-1][0]) <= weight_tol:
+        if groups and abs(w - groups[-1][-1][0]) <= WEIGHT_TOL:
             groups[-1].append((w, c))
         else:
             groups.append([(w, c)])
@@ -163,16 +164,14 @@ def _layers(M: np.ndarray, spec: SpectralData, weight_of, weight_tol: float):
     return tuple(layers)
 
 
-def grading_from_derivation(
-    g: LieAlgebra, A, *, weight_tol: float = WEIGHT_TOL, spec: SpectralData | None = None
-) -> Grading:
+def grading_from_derivation(g: LieAlgebra, A, *, spec: SpectralData | None = None) -> Grading:
     """Layers V_t spanned by the real forms of the generalized eigenspaces
     with eigenvalue real part t.  The layers depend on A alone; g is not
     read."""
     Af = to_float(A)
     if spec is None:
         spec = generalized_eigenspaces(Af)
-    layers = _layers(Af, spec, lambda c: c.value.real, weight_tol)
+    layers = _layers(Af, spec, lambda c: c.value.real)
     return Grading(layers, ("derivation", Af), spec)
 
 
@@ -181,7 +180,6 @@ def grading_from_automorphism(
     phi,
     lam: float,
     *,
-    weight_tol: float = WEIGHT_TOL,
     spec: SpectralData | None = None,
 ) -> Grading:
     """Layers at t = log|a| / log(lambda) over eigenvalue clusters a of phi,
@@ -195,7 +193,7 @@ def grading_from_automorphism(
     if any(abs(c.value) < 1e-14 for c in spec.clusters):
         raise ValueError("automorphism has a numerically zero eigenvalue")
     loglam = np.log(lam)
-    layers = _layers(Pf, spec, lambda c: np.log(abs(c.value)) / loglam, weight_tol)
+    layers = _layers(Pf, spec, lambda c: np.log(abs(c.value)) / loglam)
     Q = sum(l.weight * l.dim for l in layers)
     det = abs(float(np.linalg.det(Pf)))
     resid = abs(det - lam**Q) / max(det, 1e-300)
@@ -217,18 +215,16 @@ def hausdorff_dimension(grading: Grading) -> float:
     return Q
 
 
-def _v1_diagonalizable(spec: SpectralData, weight_of, weight_tol: float) -> bool:
+def _v1_diagonalizable(spec: SpectralData, weight_of) -> bool:
     """Diagonalizability of the restriction to the weight-1 layer, decided
     per cluster from the rank of (M - a I) on its generalized eigenspace."""
     for c in spec.clusters:
-        if abs(weight_of(c) - 1.0) <= weight_tol and not c.diagonalizable:
+        if abs(weight_of(c) - 1.0) <= WEIGHT_TOL and not c.diagonalizable:
             return False
     return True
 
 
-def classify_derivation(
-    g: LieAlgebra, A, *, weight_tol: float = WEIGHT_TOL
-) -> ExistenceVerdict:
+def classify_derivation(g: LieAlgebra, A) -> ExistenceVerdict:
     """Decide whether a left-invariant distance homogeneous under the
     dilations lam^A exists on the simply connected group of g.
 
@@ -242,21 +238,19 @@ def classify_derivation(
     if not dres:
         reasons.append(f"A is not a derivation: {dres.message}")
     spec = generalized_eigenspaces(Af)
-    grading = grading_from_derivation(g, Af, weight_tol=weight_tol, spec=spec)
+    grading = grading_from_derivation(g, Af, spec=spec)
     if not g.is_nilpotent:
         reasons.append("algebra not nilpotent")
     for l in grading.layers:
-        if l.weight < 1 - weight_tol:
+        if l.weight < 1 - WEIGHT_TOL:
             reasons.append(f"V_t != 0 for t = {l.weight:.6g} < 1")
-    if not _v1_diagonalizable(spec, lambda c: c.value.real, weight_tol):
+    if not _v1_diagonalizable(spec, lambda c: c.value.real):
         reasons.append("A restricted to V_1 is not diagonalizable over C")
     Q = float(sum(l.weight * l.dim for l in grading.layers))
     return ExistenceVerdict(not reasons, tuple(reasons), grading, Q)
 
 
-def classify_automorphism(
-    g: LieAlgebra, delta, lam: float, *, weight_tol: float = WEIGHT_TOL
-) -> ExistenceVerdict:
+def classify_automorphism(g: LieAlgebra, delta, lam: float) -> ExistenceVerdict:
     """Decide whether delta can be a dilation of factor lambda for some
     admissible left-invariant distance.
 
@@ -272,23 +266,19 @@ def classify_automorphism(
     if not ares:
         reasons.append(f"delta is not a Lie algebra automorphism: {ares.message}")
     spec = generalized_eigenspaces(Df)
-    grading = grading_from_automorphism(
-        g, Df, lam, weight_tol=weight_tol, spec=spec
-    )
+    grading = grading_from_automorphism(g, Df, lam, spec=spec)
     if not g.is_nilpotent:
         reasons.append("algebra not nilpotent")
     loglam = np.log(lam)
     for l in grading.layers:
-        if l.weight < 1 - weight_tol:
+        if l.weight < 1 - WEIGHT_TOL:
             modulus = lam**l.weight
             side = "greater" if lam < 1 else "smaller"
             reasons.append(
                 f"eigenvalue modulus {modulus:.6g} is {side} than lambda = {lam:.6g} "
                 f"(layer weight {l.weight:.6g} < 1)"
             )
-    if not _v1_diagonalizable(
-        spec, lambda c: np.log(abs(c.value)) / loglam, weight_tol
-    ):
+    if not _v1_diagonalizable(spec, lambda c: np.log(abs(c.value)) / loglam):
         reasons.append(
             "delta is not diagonalizable on the eigenspaces of modulus lambda"
         )

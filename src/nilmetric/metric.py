@@ -100,10 +100,13 @@ class BuildRejected(ValueError):
 # Each ball's excess(x) + 1 is its Minkowski functional, positively
 # 1-homogeneous in x (excess(r x) + 1 = r (excess(x) + 1) for r >= 0);
 # `_ray_radii` reads the ball's extents off it for `sphere_polyline`.
-# `sample_in_ball` draws uniform points from each variant's own
-# structure: a linear image of a euclidean ball for NormBall, a product
-# of the cap ball and the inner ball for LayeredBall, and the
-# parallelepiped of n independent rows for PolyBall.
+# A ball is a set only: the derivation that dilates it belongs to the
+# distance (`HomogeneousDistance.A`) or is passed to `dilate_ball`, so
+# one ball can serve more than one derivation.  `sample_in_ball` draws
+# uniform points from each variant's own structure: a linear image of a
+# euclidean ball for NormBall, a product of the cap ball and the inner
+# ball for LayeredBall, and the parallelepiped of n independent rows
+# for PolyBall.
 # ---------------------------------------------------------------------------
 
 
@@ -152,19 +155,19 @@ class LayeredBall:
 
     Membership: ||top_map @ x||_2 <= cap  and  inner.contains(proj @ x);
     excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1).
-    top_map rows are the capped subspace's coordinates in the tuned inner
-    product; proj maps to tuned-orthonormal quotient coordinates and
-    quotient_A is the induced derivation there (needed to dilate the
-    ball and to serialize enough context to re-evaluate it).
+    A built ball's top_map rows are the capped subspace's coordinates in
+    the tuned inner product and proj maps to tuned-orthonormal quotient
+    coordinates; [top_map; proj] is square and invertible.  The ball
+    holds no derivation: a derivation A acting on it induces
+    proj A proj^+ on the quotient (see `_gauge_terms`).
     """
 
     kind = "layered"
 
-    def __init__(self, top_map, cap: float, proj, quotient_A, inner):
+    def __init__(self, top_map, cap: float, proj, inner):
         self.top_map = np.atleast_2d(np.asarray(top_map, dtype=float))
         self.cap = float(cap)
         self.proj = np.atleast_2d(np.asarray(proj, dtype=float))
-        self.quotient_A = np.asarray(quotient_A, dtype=float)
         self.inner = inner
         self.dim = self.top_map.shape[1]
 
@@ -181,7 +184,7 @@ class LayeredBall:
         return np.maximum(top, self.inner.excess(X @ self.proj.T))
 
     def with_cap(self, cap: float) -> "LayeredBall":
-        return LayeredBall(self.top_map, cap, self.proj, self.quotient_A, self.inner)
+        return LayeredBall(self.top_map, cap, self.proj, self.inner)
 
 
 def box_ball(n: int = 2) -> PolyBall:
@@ -190,17 +193,16 @@ def box_ball(n: int = 2) -> PolyBall:
 
 
 def dilate_ball(ball, A, mu: float):
-    """The image mu^A B of a ball under a dilation (mu > 0)."""
+    """The image mu^A B of a ball under a dilation (mu > 0), for any A:
+    x is in mu^A B when mu^-A x is in B, so every map that reads x is
+    composed with Minv = mu^-A and a layered ball keeps its inner ball."""
     Minv = lambda_pow(A, 1.0 / mu)
     if isinstance(ball, NormBall):
         return NormBall(Minv.T @ ball.gram @ Minv)
     if isinstance(ball, PolyBall):
         return PolyBall(ball.rows @ Minv)
     if isinstance(ball, LayeredBall):
-        inner = dilate_ball(ball.inner, ball.quotient_A, mu)
-        return LayeredBall(
-            ball.top_map @ Minv, ball.cap, ball.proj, ball.quotient_A, inner
-        )
+        return LayeredBall(ball.top_map @ Minv, ball.cap, ball.proj @ Minv, ball.inner)
     raise TypeError(f"cannot dilate ball of type {type(ball).__name__}")
 
 
@@ -215,13 +217,14 @@ def ball_to_json(ball) -> dict:
             "top_map": ball.top_map.tolist(),
             "cap": ball.cap,
             "proj": ball.proj.tolist(),
-            "quotient_A": ball.quotient_A.tolist(),
             "inner": ball_to_json(ball.inner),
         }
     raise TypeError(f"cannot serialize ball of type {type(ball).__name__}")
 
 
 def ball_from_json(obj: dict):
+    # layered balls written by earlier versions also carry their quotient's
+    # derivation as "quotient_A"; it is ignored
     kind = obj.get("type")
     if kind == "norm":
         return NormBall(np.array(obj["gram"], dtype=float))
@@ -232,7 +235,6 @@ def ball_from_json(obj: dict):
             np.array(obj["top_map"], dtype=float),
             float(obj["cap"]),
             np.array(obj["proj"], dtype=float),
-            np.array(obj["quotient_A"], dtype=float),
             ball_from_json(obj["inner"]),
         )
     raise ValueError(f"unknown ball type {kind!r}")
@@ -449,23 +451,26 @@ def chi(C: float, t: np.ndarray, n: int) -> np.ndarray:
     return part(t) + part(1.0 - t) - C * t * (1.0 - t)
 
 
-def find_chi_constant(
-    n: int, *, grid: int = 10**4, margin: float = 1e-9, max_doublings: int = 60
-) -> float:
-    """Smallest power-of-two C (from 1) with chi_C <= 0 on a [0,1] grid.
+# doublings of the chi constant before find_chi_constant gives up
+_CHI_DOUBLINGS = 60
 
-    The margin is enforced in units of t(1-t), which vanishes at the
+
+def find_chi_constant(n: int) -> float:
+    """Smallest power-of-two C (from 1) with chi_C <= 0 on a grid of 10^4
+    points of [0, 1].
+
+    A margin of 1e-9 is enforced in units of t(1-t), which vanishes at the
     endpoints exactly as chi itself does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = np.linspace(0.0, 1.0, grid)
+    t = np.linspace(0.0, 1.0, 10**4)
     C = 1.0
-    for _ in range(max_doublings + 1):
-        if np.all(chi(C, t, n) <= -margin * t * (1.0 - t)):
+    for _ in range(_CHI_DOUBLINGS + 1):
+        if np.all(chi(C, t, n) <= -1e-9 * t * (1.0 - t)):
             return C
         C *= 2.0
-    raise NumericFailure(f"no chi constant found below 2^{max_doublings}")
+    raise NumericFailure(f"no chi constant found below 2^{_CHI_DOUBLINGS}")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +667,6 @@ def _build_layered(
     gram: np.ndarray,
     top_basis: np.ndarray,
     inner_ball,
-    quotient_A: np.ndarray,
     proj: np.ndarray,
     comp_onb: np.ndarray,
     cap_floor: float,
@@ -695,7 +699,7 @@ def _build_layered(
     ratio_pair = float(np.max(top0[good] / (nx[good] * ny[good]))) if np.any(good) else 0.0
 
     C = max(cap_floor, 1.5 * ratio_lam / 2.0, 1.5 * ratio_pair / 2.0, 1e-12)
-    ball = LayeredBall(top_map, C, proj, quotient_A, inner_ball)
+    ball = LayeredBall(top_map, C, proj, inner_ball)
     for _ in range(_CAP_DOUBLINGS + 1):
         report = verify_A_convexity(
             ball, view, action, samples=params.convexity_samples, seed=int(rng.integers(2**31))
@@ -788,7 +792,7 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
     else:
         floor = Cb / 4.0
     return _build_layered(
-        view, action, gram, W, inner, A_hat, proj, comp_gonb, floor, params, rng
+        view, action, gram, W, inner, proj, comp_gonb, floor, params, rng
     )
 
 
@@ -826,7 +830,7 @@ def _build_general(view, A, grading: Grading, params, rng):
         inner = dilate_ball(inner, A_hat, 1.0 / S)
 
     return _build_layered(
-        view, DilationAction(A), gram, top, inner, A_hat, proj, comp_gonb, 0.0, params, rng
+        view, DilationAction(A), gram, top, inner, proj, comp_gonb, 0.0, params, rng
     )
 
 
@@ -919,9 +923,12 @@ def _gauge_terms(ball, A: np.ndarray, P: np.ndarray):
     P x, into per-level terms whose maximum is N.
 
     Membership in a LayeredBall is (top cap) and (inner ball at proj x),
-    each an up-set in mu, so N = max(N_top, N_inner(proj x)) when
-    proj A = quotient_A proj and top_map A = M top_map; the cap is then
-    the norm ball of radius cap for M on the top coordinates.  A leaf has
+    each an up-set in mu, so N = max(N_top, N_inner(proj x)) when A
+    induces maps on both coordinate sets: top_map A = M top_map and
+    proj A = A_hat proj, read off as M = top_map A top_map^+ and
+    A_hat = proj A proj^+.  The cap is then the norm ball of radius cap
+    for M on the top coordinates, and the inner ball is split the same
+    way for A_hat, so the ball needs no derivation of its own.  A leaf has
     a closed form when A acts on it conformally: A^T G + G A = 2t G for a
     NormBall (N = (x^T G x)^(1/2t)), A = t I for a PolyBall
     (N = max_i |r_i . x|^(1/t)).  Returns (closed, solved): closed terms
@@ -931,13 +938,14 @@ def _gauge_terms(ball, A: np.ndarray, P: np.ndarray):
     if isinstance(ball, LayeredBall):
         T, Q = ball.top_map, ball.proj
         M = T @ A @ np.linalg.pinv(T)
+        A_hat = Q @ A @ np.linalg.pinv(Q)
         scale = np.linalg.norm(A)
         if _near(T @ A, M @ T, scale * np.linalg.norm(T)) and _near(
-            Q @ A, ball.quotient_A @ Q, scale * np.linalg.norm(Q)
+            Q @ A, A_hat @ Q, scale * np.linalg.norm(Q)
         ):
             cap = NormBall(np.eye(T.shape[0]) / ball.cap**2)
             c1, s1 = _gauge_terms(cap, M, T @ P)
-            c2, s2 = _gauge_terms(ball.inner, ball.quotient_A, Q @ P)
+            c2, s2 = _gauge_terms(ball.inner, A_hat, Q @ P)
             return c1 + c2, s1 + s2
     t = float(np.trace(A)) / A.shape[0]
     if isinstance(ball, NormBall) and _near(
@@ -1218,23 +1226,24 @@ def common_period(ratios, max_q: int, tol: float) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def compact_closure_samples(
-    K,
-    *,
-    max_orbit: int = 10**4,
-    return_tol: float = 1e-6,
-    grid_per_angle: int = 64,
-    view: AlgebraView | None = None,
-    unit_modulus_tol: float = 1e-9,
-):
-    """Finite sample of the closure of the group generated by K.
+# the longest finite orbit compact_closure_samples returns, the tolerance
+# of its return K^q = I, and the torus grid points per phase otherwise
+_MAX_ORBIT = 10**4
+_RETURN_TOL = 1e-6
+_TORUS_GRID = 64
 
-    The regime is read off the eigenvalue phases: when some q <= max_orbit
-    turns every phase into a multiple of 2 pi (within return_tol), and
-    ||K^q - I|| <= return_tol confirms it, the closure is the finite orbit
-    I, K, ..., K^(q-1); otherwise it is approximated by a product grid over
-    the torus directions of the phases.  For a non-Abelian algebra the grid
-    elements are kept only if they are automorphisms (warned otherwise).
+
+def compact_closure_samples(K, *, view: AlgebraView | None = None):
+    """Finite sample of the closure of the group generated by K, whose
+    eigenvalues must have modulus 1 (within 1e-9).
+
+    The regime is read off the eigenvalue phases: when some q <= 10^4
+    turns every phase into a multiple of 2 pi (within 1e-6), and
+    ||K^q - I|| <= 1e-6 confirms it, the closure is the finite orbit
+    I, K, ..., K^(q-1); otherwise it is approximated by a product grid of
+    64 points per torus direction of the phases.  For a non-Abelian
+    algebra the grid elements are kept only if they are automorphisms
+    (warned otherwise).
 
     Returns (mats, info) with info describing which regime was used.
     """
@@ -1242,19 +1251,19 @@ def compact_closure_samples(
     n = Kf.shape[0]
     spec = generalized_eigenspaces(Kf)
     for c in spec.clusters:
-        if abs(abs(c.value) - 1.0) > unit_modulus_tol:
+        if abs(abs(c.value) - 1.0) > 1e-9:
             raise ValueError(
                 f"eigenvalue {c.value:g} has modulus != 1; no compact closure"
             )
     turns = [np.angle(c.value) / (2 * np.pi) for c in spec.clusters]
-    q = common_period(turns, max_orbit, return_tol / (2 * np.pi))
+    q = common_period(turns, _MAX_ORBIT, _RETURN_TOL / (2 * np.pi))
     if q is not None:
         mats = [np.eye(n)]
         for _ in range(q):
             mats.append(mats[-1] @ Kf)
-        if np.linalg.norm(mats.pop() - np.eye(n), 2) <= return_tol:
+        if np.linalg.norm(mats.pop() - np.eye(n), 2) <= _RETURN_TOL:
             return mats, {"mode": "orbit", "order": q}
-    mats, pos_angles = torus_grid_mats(spec, grid_per_angle, view)
+    mats, pos_angles = torus_grid_mats(spec, _TORUS_GRID, view)
     return mats, {"mode": "torus", "angles": pos_angles, "count": len(mats)}
 
 
@@ -1326,7 +1335,6 @@ def bilipschitz_constants(
     *,
     samples: int = 10**4,
     seed: int = 0,
-    spread: float = 2.0,
     dilation_tol: float = 1e-6,
 ):
     """Two-sided comparison constants for distances sharing the dilation
@@ -1334,15 +1342,16 @@ def bilipschitz_constants(
 
     Finds the integer k with delta^k B_1 inside B_2 from sampled gauge
     ratios, returns L2 = lam^(1-k) (and symmetrically L1), and validates
-    d2 <= L2 d1 pointwise on a fresh sample.
+    d2 <= L2 d1 pointwise on a fresh sample.  Points are normal with
+    standard deviation 2.
     """
     if lam <= 1:
         raise ValueError("common dilation factor must be > 1")
     rng = np.random.default_rng(seed)
     Df = to_float(delta)
     n = Df.shape[0]
-    X = rng.normal(size=(samples, n)) * spread
-    Y = rng.normal(size=(samples, n)) * spread
+    X = rng.normal(size=(samples, n)) * 2.0
+    Y = rng.normal(size=(samples, n)) * 2.0
     r1 = d1.pair_chunked(X, Y)
     r2 = d2.pair_chunked(X, Y)
     s1 = d1.pair_chunked(X @ Df.T, Y @ Df.T)
@@ -1361,8 +1370,8 @@ def bilipschitz_constants(
     L2 = lam ** (1 - k2)
     L1 = lam ** (1 - k1)
     # fresh validation sample
-    Xv = rng.normal(size=(samples, n)) * spread
-    Yv = rng.normal(size=(samples, n)) * spread
+    Xv = rng.normal(size=(samples, n)) * 2.0
+    Yv = rng.normal(size=(samples, n)) * 2.0
     v1 = d1.pair_chunked(Xv, Yv)
     v2 = d2.pair_chunked(Xv, Yv)
     ok = bool(np.all(v2 <= L2 * v1 * (1 + 1e-9)) and np.all(v1 <= L1 * v2 * (1 + 1e-9)))
@@ -1409,18 +1418,18 @@ def verify_axioms(
     A=None,
     samples: int = 10**5,
     seed: int = 0,
-    spread: float = 1.5,
 ) -> AxiomReport:
     """Sampled metric-axiom harness: symmetry, positivity away from the
     diagonal, triangle inequality, left-invariance, and (when A is
-    given) dilation homogeneity.  Residuals are worst cases over the
-    sample; triangle excess is absolute, the rest relative.
+    given) dilation homogeneity, on points uniform in [-1.5, 1.5]^n.
+    Residuals are worst cases over the sample; triangle excess is
+    absolute, the rest relative.
     """
     rng = np.random.default_rng(seed)
     n = d.dim
-    X = rng.uniform(-spread, spread, size=(samples, n))
-    Y = rng.uniform(-spread, spread, size=(samples, n))
-    Z = rng.uniform(-spread, spread, size=(samples, n))
+    X = rng.uniform(-1.5, 1.5, size=(samples, n))
+    Y = rng.uniform(-1.5, 1.5, size=(samples, n))
+    Z = rng.uniform(-1.5, 1.5, size=(samples, n))
     dxy = d.pair_chunked(X, Y)
     dyx = d.pair_chunked(Y, X)
     symmetry = float(np.max(np.abs(dxy - dyx) / np.maximum(dxy, 1e-300)))

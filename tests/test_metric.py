@@ -320,11 +320,13 @@ def _catalog_ball(entry, op):
 
 @pytest.mark.parametrize("entry,op", CATALOG_YES)
 def test_lambda_pow_takes_every_quotient_derivation(entry, op):
-    # dilate_ball hands lambda_pow the quotient_A of each level; its
-    # spectral split must accept them as the matrix exponential did
+    # A induces proj A proj^+ on each level's quotient, and a build dilates
+    # its quotient balls by these through lambda_pow; its spectral split
+    # must accept them as the matrix exponential did
     ball = _catalog_ball(entry, op)
+    Aq = np.asarray(CATALOG[entry].derivations[op], dtype=float)
     while isinstance(ball, LayeredBall):
-        Aq = ball.quotient_A
+        Aq = ball.proj @ Aq @ np.linalg.pinv(ball.proj)
         for mu in (0.3, 2.0):
             want = scipy.linalg.expm(math.log(mu) * Aq)
             assert np.linalg.norm(lambda_pow(Aq, mu) - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
@@ -700,6 +702,21 @@ def _frozen_ball(name):
         return ball_from_json(json.load(fh)["ball"])
 
 
+@pytest.mark.parametrize("name", list(FROZEN_CASES))
+def test_reference_ball_in_the_old_format_loads(name):
+    # the frozen layered balls still carry each level's "quotient_A"; it is
+    # ignored on load, the ball keeps its distances and is written without it
+    with open(REFERENCE / f"{name}.json") as fh:
+        ref = json.load(fh)
+    assert "quotient_A" in ref["ball"]
+    ball = ball_from_json(ref["ball"])
+    d = HomogeneousDistance(AlgebraView.of(FROZEN_CASES[name][0]), np.array(ref["A"]), ball)
+    want = np.array(ref["d"])
+    got = d.pair(np.array(ref["P"]), np.array(ref["Q"]))
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+    assert "quotient_A" not in json.dumps(ball_to_json(ball))
+
+
 @pytest.mark.parametrize(
     "name", ["heisenberg", "engel", "free23", "filiform-7", "box", "sheared-norm", "dilated"]
 )
@@ -757,15 +774,26 @@ def test_sample_in_ball_rejects_a_ball_unbounded_along_an_axis():
 @pytest.fixture(scope="module")
 def sampled_balls():
     small = BuildParams(convexity_samples=2000, cap_samples=2000)
-    built = {name: build_ball(*FROZEN_CASES[name], params=small) for name in ("engel", "filiform-7")}
+    built = {
+        name: build_ball(*FROZEN_CASES[name], params=small)
+        for name in ("heisenberg", "engel", "filiform-7")
+    }
     return {
         **built,
         "filiform-7 dilated": dilate_ball(built["filiform-7"], FROZEN_CASES["filiform-7"][1], 0.6),
+        "heisenberg dilated by diag(1, 2, 3)": dilate_ball(built["heisenberg"], np.diag([1.0, 2.0, 3.0]), 2.0),
         "engel from json": ball_from_json(json.loads(json.dumps(ball_to_json(built["engel"])))),
     }
 
 
-SAMPLED = ["engel", "filiform-7", "filiform-7 dilated", "engel from json"]
+# sampled ball -> its number of LayeredBall levels
+SAMPLED = {
+    "engel": 2,
+    "filiform-7": 5,
+    "filiform-7 dilated": 5,
+    "heisenberg dilated by diag(1, 2, 3)": 1,
+    "engel from json": 2,
+}
 
 
 @pytest.mark.parametrize("name", SAMPLED)
@@ -790,7 +818,21 @@ def test_sample_in_ball_halves_every_cap_by_volume(sampled_balls, name):
         assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / m), (levels, share)
         ball, X = ball.inner, X @ ball.proj.T
         levels += 1
-    assert levels >= 2
+    assert levels == SAMPLED[name]
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.0])
+def test_dilate_ball_by_another_derivation(sampled_balls, mu):
+    # a ball holds no derivation: the diag(1, 1, 2) heisenberg ball dilated
+    # by A' = diag(1, 2, 3) is mu^A' B on every level, both ways round
+    ball = sampled_balls["heisenberg"]
+    A2 = np.diag([1.0, 2.0, 3.0])
+    image = dilate_ball(ball, A2, mu)
+    rng = np.random.default_rng(27)
+    X = sample_in_ball(ball, 3, 20000, rng)
+    assert image.contains(X @ lambda_pow(A2, mu).T, slack=1e-12).all()
+    Y = sample_in_ball(image, 3, 20000, rng)
+    assert ball.contains(Y @ lambda_pow(A2, 1.0 / mu).T, slack=1e-12).all()
 
 
 def test_sample_in_norm_ball_is_uniform():
