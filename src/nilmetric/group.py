@@ -1,20 +1,14 @@
 """Nilpotent group arithmetic in exponential coordinates.
 
-A simply connected nilpotent group is identified with its Lie algebra
-through the exponential map, so group elements are coordinate vectors,
-the inverse is negation, and the product is the Baker-Campbell-Hausdorff
-series truncated at the nilpotency step -- which makes it exact, not an
-approximation.  Coefficients come from the Dynkin expansion: for every
-word w in the letters {x, y} up to the step length, the contribution is
-the left-normed bracket [w_1,[w_2,[...,w_k]]] times a rational constant,
-and the constants are generated once per step and cached.
-
-Left-normed words share suffixes, and each bracket is ad_x or ad_y
-applied to a shorter suffix.  One evaluator builds the two operators
-ad_x, ad_y from the structure tensor and walks the distinct suffixes
-shortest first, so the series costs one vector-matrix product per
-suffix.  It runs unchanged on both backends: Fraction object arrays for
-rational inputs (exact) and float row batches for the sampling harnesses.
+Through the exponential map the inverse is negation and the product is
+the Baker-Campbell-Hausdorff series, exact once truncated at the step:
+a polynomial map, which `_Law` compiles once by running the Dynkin series
+on polynomial coordinates into a table of monomials, each a shorter one
+times one coordinate.  It is compiled in a basis adapted to the lower
+central series g^1 > g^2 > ... (orthonormal for floats, rational for
+Fractions): as [g^i, g^j] lies in g^(i+j), a coordinate of degree t has
+monomials of weighted degree <= t only, where a dense basis has
+thousands and, in floats, cancels large high-degree coordinates.
 """
 
 from __future__ import annotations
@@ -25,33 +19,16 @@ from math import factorial
 
 import numpy as np
 
-from .exact import is_exact, to_float
+from .algebra import check_derivation
+from .exact import exact_eye, exact_inv, exact_rref, exact_zeros, is_exact, to_float
 from .spectral import lambda_pow
 
-__all__ = [
-    "bch_coefficients",
-    "bch_product",
-    "inverse",
-    "dilate",
-    "GroupOps",
-    "float_nilpotency_step",
-    "MAX_SUPPORTED_STEP",
-]
+__all__ = ["bch_coefficients", "bch_product", "inverse", "dilate", "GroupOps"]
+__all__ += ["float_nilpotency_step", "MAX_SUPPORTED_STEP"]
 
-MAX_SUPPORTED_STEP = 6
-
-
-def _pair_sequences(n_blocks: int, total: int):
-    """All sequences of n_blocks pairs (p, q) != (0, 0) with sum total."""
-    if n_blocks == 0:
-        if total == 0:
-            yield ()
-        return
-    for first_total in range(1, total - n_blocks + 2):
-        for p in range(first_total + 1):
-            q = first_total - p
-            for rest in _pair_sequences(n_blocks - 1, total - first_total):
-                yield ((p, q),) + rest
+MAX_SUPPORTED_STEP = 8
+_FILTRATION_TOL = 1e-9  # relative size of the forbidden brackets the float law zeroes
+_BLOCK_ROWS = 4096  # rows per block of a product: its buffer stays small
 
 
 @lru_cache(maxsize=None)
@@ -65,75 +42,147 @@ def bch_coefficients(step: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     coefficients are dropped.
     """
     if not 1 <= step <= MAX_SUPPORTED_STEP:
-        raise ValueError(
-            f"supported nilpotency steps are 1..{MAX_SUPPORTED_STEP}, got {step}"
-        )
+        raise ValueError(f"supported nilpotency steps are 1..{MAX_SUPPORTED_STEP}, got {step}")
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for degree in range(1, step + 1):
-        for n_blocks in range(1, degree + 1):
-            for seq in _pair_sequences(n_blocks, degree):
-                word: list[int] = []
-                denom = 1
-                for p, q in seq:
-                    word.extend([0] * p + [1] * q)
-                    denom *= factorial(p) * factorial(q)
-                c = Fraction((-1) ** (n_blocks - 1), n_blocks * degree * denom)
-                key = tuple(word)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    out = []
-    for word, c in sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        if c == 0:
-            continue
-        if len(word) >= 2 and word[-1] == word[-2]:
-            continue
-        out.append((word, c))
-    return tuple(out)
+
+    def extend(word: tuple, denom: int, blocks: int) -> None:
+        # append a block x^p y^q, p + q > 0, to a word of `blocks` blocks; the
+        # new word's Dynkin term is (-1)^blocks / ((blocks + 1) |word| prod p! q!)
+        for p in range(step - len(word) + 1):
+            for q in range(step - len(word) - p + 1):
+                if p + q:
+                    w, d = word + (0,) * p + (1,) * q, denom * factorial(p) * factorial(q)
+                    coeffs[w] = coeffs.get(w, 0) + Fraction((-1) ** blocks, (blocks + 1) * len(w) * d)
+                    extend(w, d, blocks + 1)
+
+    extend((), 1, 0)
+    words = sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return tuple((w, c) for w, c in words if c != 0 and (len(w) < 2 or w[-1] != w[-2]))
 
 
-@lru_cache(maxsize=None)
-def _word_suffixes(step: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct suffixes of length >= 2 of the step's Dynkin words,
-    shortest first, so each one's inner suffix is evaluated before it."""
-    words = bch_coefficients(step)
-    found = {word[i:] for word, _ in words for i in range(len(word) - 1)}
-    return tuple(sorted(found, key=lambda w: (len(w), w)))
-
-
-def _bch_series(tensor: np.ndarray, step: int, coeff: dict, X, Y) -> np.ndarray:
-    """Truncated BCH series: X + Y plus coeff[w] [w](X, Y) summed over the
-    words w of length >= 2, row by row.
-
-    X and Y are (m, n) batches, float or Fraction object arrays (a
-    one-row batch broadcasts).  A left-normed word w_1 w_2 ... w_k is
-    ad_{w_1} applied to the value of w_2 ... w_k, so the two operators
-    ad_X, ad_Y are built once and every distinct suffix costs one
-    batched vector-matrix product.
-    """
-    # ad[l][m] maps a row vector v to [Z_m, v] = v @ ad[l][m], Z = (X, Y)[l]
-    ad = (np.tensordot(X, tensor, axes=(1, 0)), np.tensordot(Y, tensor, axes=(1, 0)))
-    value = {(0,): X[:, None, :], (1,): Y[:, None, :]}
-    out = X + Y
-    for word in _word_suffixes(step):
-        value[word] = value[word[1:]] @ ad[word[0]]
-        if word in coeff:
-            out = out + coeff[word] * value[word][:, 0, :]
+def _bch_series(tensor: np.ndarray, coeff: dict, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + y plus coeff[w] [w](x, y) over the words w of length >= 2, for
+    object vectors: [w_1 ... w_k] is ad_{w_1} [w_2 ... w_k], so each distinct
+    suffix, shortest first, costs one vector-matrix product."""
+    ad = (np.tensordot(x, tensor, axes=1), np.tensordot(y, tensor, axes=1))
+    value, out = {(0,): x, (1,): y}, x + y
+    suffixes = {word[i:] for word in coeff for i in range(len(word) - 1)}
+    for word in sorted(suffixes, key=lambda w: (len(w), w)):
+        value[word] = value[word[1:]] @ ad[word[0]]  # v @ ad_z = [z, v]
+        out = out + coeff.get(word, 0) * value[word]
     return out
+
+
+class _Poly(dict):
+    """A polynomial {sorted tuple of variables: nonzero coefficient}, with the
+    arithmetic `_bch_series` does on object arrays (whose sums start at 0)."""
+
+    def __add__(self, other):
+        out = _Poly(self)
+        for m, c in other.items() if isinstance(other, _Poly) else ():
+            out[m] = out.get(m, 0) + c
+        return _Poly((m, c) for m, c in out.items() if c)
+
+    def __mul__(self, other):
+        out = _Poly()
+        for m2, c2 in other.items() if isinstance(other, _Poly) else [((), other)]:
+            for m1, c1 in self.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return _Poly((m, c) for m, c in out.items() if c)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+class _Law:
+    """x * y = x + y + (sum_j coef_j monomial j) @ back, compiled from a tensor
+    (object array) in a central series basis, where rows X have coordinates
+    X @ into (no into, back: its own).  A product's buffer holds those of x, y
+    in rows 0..2n-1 and monomial j in row 2n + j, row p times row v for
+    (p, v) = pairs[j]; terms are the nonzero (row, coordinate, coefficient)."""
+
+    def __init__(self, tensor: np.ndarray, step: int, into: np.ndarray, back: np.ndarray):
+        n, self.into, self.back = tensor.shape[0], into, back
+        coeff = dict(bch_coefficients(step))  # Fraction times a float entry is a float
+        xy = np.empty(2 * n, dtype=object)
+        xy[:] = [_Poly({(i,): 1}) for i in range(2 * n)]
+        rows: dict[tuple, dict] = {}  # monomial -> {coordinate: coefficient}
+        for k, poly in enumerate(_bch_series(tensor, coeff, xy[:n], xy[n:])):
+            for m, c in poly.items():
+                rows.setdefault(m, {})[k] = c
+        monos = {m[:d] for m in rows for d in range(2, len(m) + 1)}  # with prefixes
+        index = {(i,): i for i in range(2 * n)}
+        index.update((m, 2 * n + j) for j, m in enumerate(sorted(monos, key=lambda m: (len(m), m))))
+        self.pairs = [(index[m[:-1]], m[-1]) for m in list(index)[2 * n :]]
+        self.terms = [(index[m], k, c) for m, r in rows.items() if len(m) > 1 for k, c in r.items()]
+        if into is not None and into.dtype == float:
+            coef = np.zeros((len(self.pairs), n))
+            for j, k, c in self.terms:
+                coef[j - 2 * n, k] = c
+            self.coef = coef @ back
+
+    def apply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """x * y row by row, for (m, n) float or Fraction batches."""
+        n, out = X.shape[1], X + Y
+        if self.into is not None:
+            X, Y = X @ self.into, Y @ self.into
+        for lo in range(0, X.shape[0], _BLOCK_ROWS):
+            x, y, o = (a[lo : lo + _BLOCK_ROWS] for a in (X, Y, out))
+            B = np.empty((2 * n + len(self.pairs), x.shape[0]), dtype=X.dtype)
+            B[:n], B[n : 2 * n] = x.T, y.T
+            for j, (p, v) in enumerate(self.pairs, 2 * n):
+                np.multiply(B[p], B[v], out=B[j])
+            if X.dtype != object:
+                o += B[2 * n :].T @ self.coef
+                continue
+            top = exact_zeros(o.shape)  # Fractions: the nonzero terms only
+            for j, k, c in self.terms:
+                top[:, k] += c * B[j]
+            o += top if self.back is None else top @ self.back
+        return out
+
+
+def _float_law(tensor: np.ndarray, step: int) -> _Law:
+    """The law in an orthonormal central series basis; the bracket entries the
+    filtration forbids must be rounding noise, and are set to 0."""
+    _, Q, deg = _central_series_basis(tensor)
+    T = np.einsum("ia,jb,ijk,kc->abc", Q, Q, tensor, Q)
+    forced = deg[:, None, None] + deg[None, :, None] > deg[None, None, :]
+    dropped = np.abs(T[forced]).max(initial=0.0)
+    if dropped > _FILTRATION_TOL * max(1.0, np.abs(T).max(initial=0.0)):
+        raise ValueError(f"structure tensor leaves its central series by {dropped:.1e}")
+    return _Law(np.where(forced, 0.0, T).astype(object), step, Q, Q.T)
+
+
+def _exact_law(g, step: int) -> _Law:
+    """The law in a rational basis P whose columns extend a basis of each g^(t+1)
+    to one of g^t; in the algebra's own one if P only permutes and flips axes."""
+    P = exact_zeros((g.dim, 0))
+    for B in reversed([exact_eye(g.dim)] + g.lower_central_series()):
+        P = np.hstack([P, B])[:, exact_rref(np.hstack([P, B]))[1]]
+    if ((P != 0).sum(axis=0) == 1).all():  # its own axes are adapted already
+        return _Law(g.tensor_exact, step, None, None)
+    Pinv = exact_inv(P)
+    T = np.einsum("ia,jb,ijk,ck->abc", P, P, g.tensor_exact, Pinv, optimize=True)
+    return _Law(T, step, Pinv.T, P.T)
+
+
+def _algebra_law(g, exact: bool):
+    """The algebra's exact _Law or its GroupOps, made on first use."""
+    if exact not in g._group_laws:
+        step = g.nilpotency_step()
+        if step is None:
+            raise ValueError(f"{g.name} is not nilpotent; it has no BCH group structure")
+        g._group_laws[exact] = _exact_law(g, step) if exact else GroupOps(g.tensor, step)
+    return g._group_laws[exact]
 
 
 def bch_product(g, x, y):
     """Group product of exponential coordinates; exact for rational input.
-
-    Requires g nilpotent of step at most MAX_SUPPORTED_STEP.
-    """
-    step = g.nilpotency_step()
-    if step is None:
-        raise ValueError(f"{g.name} is not nilpotent; it has no BCH group structure")
+    g must be nilpotent of step at most MAX_SUPPORTED_STEP."""
     if is_exact(x) and is_exact(y):
-        coeff = dict(bch_coefficients(step))
-        return _bch_series(g.tensor_exact, step, coeff, x[None, :], y[None, :])[0]
-    return GroupOps(g.tensor, step).product(
-        to_float(x)[None, :], to_float(y)[None, :]
-    )[0]
+        return _algebra_law(g, True).apply(x[None, :], y[None, :])[0]
+    return _algebra_law(g, False).product(to_float(x)[None, :], to_float(y)[None, :])[0]
 
 
 def inverse(x):
@@ -142,13 +191,8 @@ def inverse(x):
 
 
 def dilate(g, A, lam: float, x, *, check: bool = True):
-    """Apply the dilation lam^A to a group element.
-
-    A must be a derivation, so that lam^A is a group automorphism.
-    """
+    """lam^A x, for a derivation A, so that lam^A is a group automorphism."""
     if check:
-        from .algebra import check_derivation
-
         res = check_derivation(g, A)
         if not res:
             raise ValueError(f"dilation generator is not a derivation: {res.message}")
@@ -156,53 +200,54 @@ def dilate(g, A, lam: float, x, *, check: bool = True):
 
 
 class GroupOps:
-    """Vectorized group arithmetic for a fixed structure tensor.
-
-    Batches are (m, n) arrays of row vectors.  The word table is fixed at
-    construction; a product builds the batched operators ad_X, ad_Y once
-    and then costs one batched vector-matrix product per distinct word
-    suffix (44 at step 6, 6 at step 3).
-    """
+    """The float group law of one structure tensor on (m, n) row batches (a
+    one-row batch broadcasts).  Constructing one computes nothing: the first
+    `product` compiles the law (see `_Law`) and every later one reuses it."""
 
     def __init__(self, tensor: np.ndarray, step: int):
         self.tensor = np.asarray(tensor, dtype=float)
-        self.dim = self.tensor.shape[0]
         self.step = max(1, int(step))
-        self.coeff = {word: float(c) for word, c in bch_coefficients(self.step)}
+        self._law: _Law | None = None
 
     @classmethod
     def for_algebra(cls, g) -> "GroupOps":
-        step = g.nilpotency_step()
-        if step is None:
-            raise ValueError(f"{g.name} is not nilpotent")
-        return cls(g.tensor, step)
+        """The algebra's GroupOps, one per algebra."""
+        return _algebra_law(g, False)
 
     def product(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return _bch_series(self.tensor, self.step, self.coeff, X, Y)
+        X, Y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (X, Y))
+        if self._law is None:
+            self._law = _float_law(self.tensor, self.step)
+        return self._law.apply(*np.broadcast_arrays(X, Y))
 
-    def conjugate(self, Z: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self.product(self.product(Z, X), -np.atleast_2d(Z))
+
+def _central_series_basis(tensor: np.ndarray, tol: float = 1e-10):
+    """One SVD walk down the lower central series g = g^1 > ... > g^s > 0 of a
+    float structure tensor: (s, Q, degrees), the columns of the orthonormal Q
+    of degree t spanning g^t modulo g^(t+1).  ValueError if g is not nilpotent."""
+    C = np.asarray(tensor, dtype=float)
+    n, scale = C.shape[0], max(1.0, np.abs(C).max(initial=0.0))
+    Q, degrees, current = np.zeros((n, 0)), [], np.eye(n)
+    for t in range(1, n + 2):
+        # the span of [e_i, v] over all basis vectors e_i and columns v of g^t
+        cols = np.einsum("ijk,jc->ick", C, current).reshape(-1, n).T
+        U, sv, _ = np.linalg.svd(cols, full_matrices=False)
+        rank = int(np.sum(sv > tol * max(scale, sv[0])))
+        if rank == current.shape[1] > 0 and t > 1:
+            break
+        k = current.shape[1] - rank  # g^t modulo g^(t+1)
+        B = current - U[:, :rank] @ (U[:, :rank].T @ current)
+        Q = np.hstack([Q, np.linalg.svd(B, full_matrices=False)[0][:, :k]])
+        degrees += [t] * k
+        if rank == 0:
+            return t, Q, np.array(degrees, dtype=int)
+        current = U[:, :rank]
+    raise ValueError("structure tensor is not nilpotent")
 
 
 def float_nilpotency_step(tensor: np.ndarray, tol: float = 1e-10) -> int | None:
     """Nilpotency step of a float structure tensor via the central series."""
-    C = np.asarray(tensor, dtype=float)
-    n = C.shape[0]
-    scale = max(1.0, np.abs(C).max())
-    current = np.eye(n)
-    for s in range(1, n + 2):
-        # span of [e_i, v] over all basis vectors e_i and current columns v
-        W = np.einsum("ijk,jc->ick", C, current)
-        cols = W.reshape(n * current.shape[1], n).T
-        if cols.size == 0:
-            return s
-        U, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = int(np.sum(sv > tol * max(scale, sv[0] if sv.size else 1.0)))
-        if rank == 0:
-            return s
-        if rank == current.shape[1] and s > 1:
-            return None
-        current = U[:, :rank]
-    return None
+    try:
+        return _central_series_basis(tensor, tol)[0]
+    except ValueError:
+        return None

@@ -193,10 +193,10 @@ def box_ball(n: int = 2) -> PolyBall:
 
 
 def dilate_ball(ball, A, mu: float):
-    """The image mu^A B of a ball under a dilation (mu > 0), for any A:
-    x is in mu^A B when mu^-A x is in B, so every map that reads x is
-    composed with Minv = mu^-A and a layered ball keeps its inner ball."""
-    Minv = lambda_pow(A, 1.0 / mu)
+    """The image mu^A B of a ball under a dilation (mu > 0), for any A or its
+    DilationAction: x is in mu^A B when mu^-A x is in B, so every map reading
+    x is composed with Minv = mu^-A and a layered ball keeps its inner ball."""
+    Minv = A.powers([1.0 / mu])[0] if isinstance(A, DilationAction) else lambda_pow(A, 1.0 / mu)
     if isinstance(ball, NormBall):
         return NormBall(Minv.T @ ball.gram @ Minv)
     if isinstance(ball, PolyBall):
@@ -265,7 +265,8 @@ class AlgebraView:
         return self.step <= 1 or not np.abs(self.tensor).any()
 
     def ops(self) -> GroupOps:
-        return GroupOps(self.tensor, self.step)
+        """The view's group law: one GroupOps, shared by every caller."""
+        return self.__dict__.setdefault("_ops", GroupOps(self.tensor, self.step))
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +715,14 @@ def _build_layered(
 
 
 def _build_recursive(
-    view: AlgebraView, A: np.ndarray, grading: Grading, params: BuildParams, rng
+    view: AlgebraView, A: np.ndarray, grading: Grading, params: BuildParams, rng, action=None
 ):
+    """One level's ball; action is A's DilationAction if the caller has it."""
     weights = grading.weights
     if view.is_abelian:
         return NormBall(tuned_norm(view.dim, A, default_theta(weights), grading=grading).gram)
-    if max(weights) <= 2 + WEIGHT_TOL:
-        return _build_two_layer(view, A, grading, params, rng)
-    return _build_general(view, A, grading, params, rng)
+    build = _build_two_layer if max(weights) <= 2 + WEIGHT_TOL else _build_general
+    return build(view, action or DilationAction(A), grading, params, rng)
 
 
 def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.ndarray):
@@ -742,16 +743,10 @@ def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.nda
     return comp_gonb, proj, A_hat, AlgebraView(comp_gonb.shape[1], qtensor, qstep)
 
 
-def _build_quotient(qview: AlgebraView, A_hat: np.ndarray, params: BuildParams, rng):
-    """Ball on a quotient, graded afresh by the induced derivation."""
-    grading = grading_from_derivation(None, A_hat)
-    return _build_recursive(qview, A_hat, grading, params, rng)
-
-
-def _build_two_layer(view, A, grading: Grading, params, rng):
+def _build_two_layer(view, action: DilationAction, grading: Grading, params, rng):
     """Top weight <= 2: cap the diagonalizable weight-2 core W (it contains
     [g, g]) and put the Abelian tuned norm ball on the quotient."""
-    n = view.dim
+    n, A = view.dim, action.A
     gram = tuned_norm(n, A, default_theta(grading.weights), grading=grading).gram
 
     # W = real form of the eigenvector (not just generalized) spaces at Re a = 2
@@ -776,13 +771,12 @@ def _build_two_layer(view, A, grading: Grading, params, rng):
     # the quotient by W is Abelian; its norm ball is scaled so the lifted
     # ball sits inside the tuned unit ball of the complement
     comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, W)
-    inner = _build_quotient(qview, A_hat, params, rng)
+    inner = _build_recursive(qview, A_hat, grading_from_derivation(None, A_hat), params, rng)
     evals = np.linalg.eigvalsh((inner.gram + inner.gram.T) / 2.0)
     if evals[0] < 1.0:
         inner = NormBall(inner.gram / evals[0] * (1.0 + 1e-12))
 
     # analytic cap floor from the chi function and the bracket bound
-    action = DilationAction(A)
     nu = _restricted_opnorm(action.N, v2.basis, gram)
     m2 = _nilpotent_index_on(action.N, v2.basis)
     kappa = sum(nu**j / math.factorial(j) for j in range(1, max(m2, 1)))
@@ -806,16 +800,18 @@ def _nilpotent_index_on(N, basis) -> int:
     return R.shape[0] + 1
 
 
-def _build_general(view, A, grading: Grading, params, rng):
-    """Top weight > 2: cap the top layer and recurse on the quotient."""
-    n = view.dim
+def _build_general(view, action: DilationAction, grading: Grading, params, rng):
+    """Top weight > 2: cap the top layer and recurse on the quotient, whose
+    DilationAction also rescales the quotient ball."""
+    n, A = view.dim, action.A
     theta = default_theta(grading.weights, general_top=True)
     gram = tuned_norm(n, A, theta, grading=grading).gram
     *lower, top_layer = grading.layers
     top = top_layer.basis
 
     comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, top)
-    inner = _build_quotient(qview, A_hat, params, rng)
+    qaction = DilationAction(A_hat)
+    inner = _build_recursive(qview, A_hat, grading_from_derivation(None, A_hat), params, rng, qaction)
 
     # scale the quotient ball so the sum of layer norms of lifted points
     # stays below 1 (the contraction estimate needs it)
@@ -827,11 +823,9 @@ def _build_general(view, A, grading: Grading, params, rng):
         total += np.linalg.norm(Xbar @ (Lb.T @ gram).T, axis=1)
     S = float(total.max()) * 1.05
     if S > 1.0:
-        inner = dilate_ball(inner, A_hat, 1.0 / S)
+        inner = dilate_ball(inner, qaction, 1.0 / S)
 
-    return _build_layered(
-        view, DilationAction(A), gram, top, inner, proj, comp_gonb, 0.0, params, rng
-    )
+    return _build_layered(view, action, gram, top, inner, proj, comp_gonb, 0.0, params, rng)
 
 
 def build_ball(g, A, *, params: BuildParams | None = None):

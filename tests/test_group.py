@@ -1,12 +1,19 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nilmetric import group
 from nilmetric.algebra import LieAlgebra, abelian, engel, heisenberg, rototranslation
 from nilmetric.exact import as_exact, exact_eye, expm_nilpotent
 from nilmetric.group import (
+    MAX_SUPPORTED_STEP,
     GroupOps,
     bch_coefficients,
     bch_product,
@@ -14,12 +21,18 @@ from nilmetric.group import (
     float_nilpotency_step,
     inverse,
 )
+from nilmetric.metric import AlgebraView, HomogeneousDistance, box_ball
 from nilmetric.spectral import lambda_pow
 
 
+def _filiform(n):
+    """Model filiform algebra, [e1, ei] = e(i+1): step n - 1."""
+    return LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)}, name=f"filiform-{n}")
+
+
 def _filiform7():
-    """Model filiform algebra, [e1, ei] = e(i+1): step 6, the largest supported."""
-    return LieAlgebra(7, {(0, i): {i + 1: 1} for i in range(1, 6)}, name="filiform-7")
+    """Model filiform algebra of step 6."""
+    return _filiform(7)
 
 
 def _free23():
@@ -35,51 +48,101 @@ def _rand_exact(rng, n):
     )
 
 
+def _rand_upper(rng, n):
+    """A strictly upper triangular rational n x n matrix (nilpotent of step n - 1)."""
+    M = exact_eye(n) * 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i, j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+    return M
+
+
+def _log_unipotent(N):
+    """log N for a unipotent rational matrix, by the terminating series."""
+    n = N.shape[0]
+    psi = N - exact_eye(n)
+    D, term = psi * 0, exact_eye(n)
+    for j in range(1, n + 1):
+        term = term @ psi
+        if all(x == 0 for x in term.reshape(-1)):
+            break
+        D = D + term * Fraction((-1) ** (j + 1), j)
+    return D
+
+
+def _words_on_matrices(words, X, Y):
+    """The word table evaluated with matrix commutators."""
+    memo = {}
+    args = (X, Y)
+
+    def val(w):
+        if w not in memo:
+            memo[w] = args[w[0]] if len(w) == 1 else args[w[0]] @ val(w[1:]) - val(w[1:]) @ args[w[0]]
+        return memo[w]
+
+    Z = X * 0
+    for w, c in words:
+        Z = Z + val(w) * c
+    return Z
+
+
 def test_bch_words_against_matrix_exponential():
     # oracle: on strictly upper triangular 7x7 matrices (nilpotent of
     # step 6), the word table must reproduce log(exp X exp Y) exactly
     rng = np.random.default_rng(7)
-
-    def rand_upper(n):
-        M = exact_eye(n) * 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                M[i, j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
-        return M
-
-    def comm(A, B):
-        return A @ B - B @ A
-
-    def log_u(N):
-        n = N.shape[0]
-        psi = N - exact_eye(n)
-        D, term = psi * 0, exact_eye(n)
-        for j in range(1, n + 1):
-            term = term @ psi
-            if all(x == 0 for x in term.reshape(-1)):
-                break
-            D = D + term * Fraction((-1) ** (j + 1), j)
-        return D
-
     words = bch_coefficients(6)
     assert len(words) == 40
     for _ in range(2):
-        X, Y = rand_upper(7), rand_upper(7)
-        oracle = log_u(expm_nilpotent(X) @ expm_nilpotent(Y))
-        memo = {}
-        args = (X, Y)
-
-        def val(w):
-            if w in memo:
-                return memo[w]
-            v = args[w[0]] if len(w) == 1 else comm(args[w[0]], val(w[1:]))
-            memo[w] = v
-            return v
-
-        Z = X * 0
-        for w, c in words:
-            Z = Z + val(w) * c
+        X, Y = _rand_upper(rng, 7), _rand_upper(rng, 7)
+        oracle = _log_unipotent(expm_nilpotent(X) @ expm_nilpotent(Y))
+        Z = _words_on_matrices(words, X, Y)
         assert all(a == b for a, b in zip(Z.reshape(-1), oracle.reshape(-1)))
+
+
+@pytest.mark.parametrize("step, count", [(7, 104), (8, 166)])
+def test_bch_words_against_matrix_exponential_above_step6(step, count):
+    # the same oracle on (step + 1) x (step + 1) matrices
+    rng = np.random.default_rng(step)
+    words = bch_coefficients(step)
+    assert len(words) == count
+    X, Y = _rand_upper(rng, step + 1), _rand_upper(rng, step + 1)
+    oracle = _log_unipotent(expm_nilpotent(X) @ expm_nilpotent(Y))
+    Z = _words_on_matrices(words, X, Y)
+    assert all(a == b for a, b in zip(Z.reshape(-1), oracle.reshape(-1)))
+
+
+def test_steps_above_the_limit_are_rejected():
+    assert MAX_SUPPORTED_STEP == 8
+    with pytest.raises(ValueError, match="supported nilpotency steps"):
+        bch_coefficients(9)
+    with pytest.raises(ValueError, match="supported nilpotency steps"):
+        GroupOps.for_algebra(_filiform(10)).product(np.zeros(10), np.zeros(10))
+
+
+def _filiform_matrix(x):
+    """filiform-n as n x n strictly upper triangular matrices: e1 is the
+    shift N on the first n - 1 coordinates and e(i+1) the column v_i in the
+    last one, with N v_i = v_(i+1), so that [e1, e(i+1)] = e(i+2)."""
+    n = len(x)
+    M = exact_eye(n) * 0
+    for i in range(1, n - 1):
+        M[n - 2 - i, n - 1 - i] = x[0]
+    for i in range(1, n):
+        M[n - 1 - i, n - 1] = x[i]
+    return M
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_compiled_law_against_matrix_exponential(n):
+    # the compiled exact law of filiform-8 (step 7) and filiform-9 (step 8)
+    # against log(exp X exp Y) of its 8x8 and 9x9 matrix images
+    g = _filiform(n)
+    rng = np.random.default_rng(30 + n)
+    for _ in range(3):
+        x, y = _rand_exact(rng, n), _rand_exact(rng, n)
+        oracle = _log_unipotent(expm_nilpotent(_filiform_matrix(x)) @ expm_nilpotent(_filiform_matrix(y)))
+        got = _filiform_matrix(bch_product(g, x, y))
+        assert all(a == b for a, b in zip(got.reshape(-1), oracle.reshape(-1)))
 
 
 def test_heisenberg_closed_form():
@@ -122,6 +185,19 @@ def test_associativity_and_inverse_exact_step6():
         assert all(isinstance(v, Fraction) for v in lhs)
         assert list(lhs) == list(rhs)
         assert list(bch_product(g, x, inverse(x))) == zero
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_associativity_and_inverse_exact_step7_step8(n):
+    g = _filiform(n)
+    assert g.nilpotency_step() == n - 1
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        x, y, z = (_rand_exact(rng, g.dim) for _ in range(3))
+        lhs = bch_product(g, bch_product(g, x, y), z)
+        rhs = bch_product(g, x, bch_product(g, y, z))
+        assert list(lhs) == list(rhs)
+        assert list(bch_product(g, x, inverse(x))) == [0] * g.dim
 
 
 def test_antihomomorphism_of_inverse():
@@ -256,3 +332,57 @@ def test_group_ops_product_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_law_compiled_once_per_view_and_algebra(monkeypatch):
+    # nothing is compiled when a view, its GroupOps or a distance is made;
+    # the first product compiles, and later products and callers reuse it
+    # (compiled lists whether each compiled law is exact)
+    compiled = []
+    init = group._Law.__init__
+
+    def counting(self, tensor, step, into, back):
+        compiled.append(into is None or into.dtype == object)
+        init(self, tensor, step, into, back)
+
+    monkeypatch.setattr(group._Law, "__init__", counting)
+    g = engel()
+    view = AlgebraView.of(g)
+    d = HomogeneousDistance(view, np.diag([1.0, 1.0, 2.0, 3.0]), box_ball(4))
+    assert view.ops() is view.ops() is d.ops and compiled == []
+    X = np.ones((3, 4))
+    view.ops().product(X, X)
+    d.pair(X, 2 * X)
+    assert compiled == [False]
+    assert GroupOps.for_algebra(g) is GroupOps.for_algebra(g)
+    x = as_exact([1, 2, 3, 4])
+    for _ in range(3):
+        bch_product(g, x, x)
+        bch_product(g, x.astype(float), x.astype(float))
+    assert compiled == [False, True, False]
+
+
+def test_group_ops_refuses_a_tensor_off_its_central_series():
+    # [e1, e2] = e4, [e1, e3] = e5, [e4, e5] = e6 breaks Jacobi: e4 and e5 lie
+    # in g^2, but their bracket only in g^3, not g^4; it is refused, not snapped
+    C = np.zeros((6, 6, 6))
+    for i, j, k in ((0, 1, 3), (0, 2, 4), (3, 4, 5)):
+        C[i, j, k], C[j, i, k] = 1.0, -1.0
+    assert float_nilpotency_step(C) == 3
+    with pytest.raises(ValueError, match="central series"):
+        GroupOps(C, 3).product(np.ones(6), np.ones(6))
+
+
+def test_import_compiles_no_law():
+    # importing the package builds no Dynkin table and loads neither scipy
+    # nor pytest
+    code = (
+        "import json, sys, nilmetric\n"
+        "from nilmetric.group import bch_coefficients\n"
+        "print(json.dumps([bch_coefficients.cache_info().currsize,"
+        " sorted(m for m in ('scipy', 'pytest') if m in sys.modules)]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [0, []]

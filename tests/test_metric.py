@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import scipy.stats
 
 from nilmetric.algebra import LieAlgebra, abelian, engel, heisenberg
 from nilmetric.catalog import CATALOG
+from nilmetric.exact import as_exact
 from nilmetric.grading import classify_derivation
+from nilmetric.group import GroupOps, bch_product
 from nilmetric.metric import (
     AlgebraView,
     BuildParams,
@@ -248,6 +251,42 @@ def test_build_ball_in_changed_bases(name, seed):
             for mu in np.geomspace(1e-6, 1.0, 50):
                 op = np.linalg.norm(scipy.linalg.expm(math.log(mu) * block), 2)
                 assert op <= mu**rate * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_changed_basis_filiform7_distance_axioms(seed):
+    # in a {-1, 0, 1} basis the float group law mixes large high-weight
+    # coordinates into every coordinate; compiled in the lower central
+    # series basis it keeps homogeneity at the 1e-6 threshold
+    g, A = _changed_basis(*FROZEN_CASES["filiform-7"], seed)
+    d = build_distance(g, A)
+    assert verify_axioms(d, AlgebraView.of(g), A, samples=5000, seed=0).ok
+
+
+@pytest.mark.parametrize("name, seed", [("engel", 0), ("engel", 1), ("engel", 2), ("filiform-7", 0)])
+def test_exact_law_matches_float_law_in_changed_basis(name, seed):
+    # the exact law (rational central series basis) and the float law
+    # (orthonormal one) of a changed-basis algebra, on rational points; in
+    # the changed basis itself filiform-7's law would have ~17 000 monomials
+    g, _ = _changed_basis(*FROZEN_CASES[name], seed)
+    ops = GroupOps.for_algebra(g)
+    rng = np.random.default_rng(40 + seed)
+    for _ in range(10):
+        x, y = (as_exact([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(g.dim)]) for _ in range(2))
+        exact = bch_product(g, x, y)
+        assert all(isinstance(v, Fraction) for v in exact)
+        got = ops.product(x.astype(float), y.astype(float))[0]
+        want = exact.astype(float)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_build_filiform_above_step6(n):
+    # filiform-8 and filiform-9 (steps 7 and 8) build and pass the axioms
+    g = LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)}, name=f"filiform-{n}")
+    A = np.diag([1.0] + [float(i) for i in range(1, n)])
+    d = build_distance(g, A)
+    assert verify_axioms(d, AlgebraView.of(g), A, samples=5000, seed=0).ok
 
 
 @pytest.mark.slow
@@ -695,6 +734,17 @@ def test_dilate_ball_matches_gauge_scaling():
     X = rng.normal(size=(200, 3))
     # gauge of mu^A B is N(x)/mu
     assert np.allclose(d2.gauge(X), d.gauge(X) / mu, rtol=1e-8)
+
+
+def test_dilate_ball_by_a_dilation_action():
+    # a DilationAction of A dilates a ball as A itself does
+    ball = _frozen_ball("filiform-7")
+    A = FROZEN_CASES["filiform-7"][1]
+    for mu in (0.4, 1.7):
+        by_action = ball_to_json(dilate_ball(ball, DilationAction(A), mu))
+        by_matrix = ball_to_json(dilate_ball(ball, A, mu))
+        assert np.allclose(by_action["top_map"], by_matrix["top_map"], rtol=1e-13, atol=1e-13)
+        assert np.allclose(by_action["proj"], by_matrix["proj"], rtol=1e-13, atol=1e-13)
 
 
 def _frozen_ball(name):
