@@ -93,7 +93,7 @@ class LieAlgebra:
         self._tensor_float = to_float(self._tensor_exact)
         self._check_jacobi()
         self._step: int | None | str = "unset"
-        self._group_laws: dict = {}  # filled by nilmetric.group on first use
+        self._group_ops = self._exact_group_law = None  # made by nilmetric.group
 
     def _build_tensor(self) -> np.ndarray:
         n = self.dim

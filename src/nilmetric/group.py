@@ -19,16 +19,31 @@ from math import factorial
 
 import numpy as np
 
-from .algebra import check_derivation
 from .exact import exact_eye, exact_inv, exact_rref, exact_zeros, is_exact, to_float
 from .spectral import lambda_pow
 
-__all__ = ["bch_coefficients", "bch_product", "inverse", "dilate", "GroupOps"]
-__all__ += ["float_nilpotency_step", "MAX_SUPPORTED_STEP"]
+__all__ = [
+    "bch_coefficients",
+    "bch_product",
+    "inverse",
+    "dilate",
+    "GroupOps",
+    "central_series_basis",
+    "float_nilpotency_step",
+    "MAX_SUPPORTED_STEP",
+]
 
 MAX_SUPPORTED_STEP = 8
 _FILTRATION_TOL = 1e-9  # relative size of the forbidden brackets the float law zeroes
 _BLOCK_ROWS = 4096  # rows per block of a product: its buffer stays small
+
+
+def _check_step(step: int) -> int:
+    if not 1 <= step <= MAX_SUPPORTED_STEP:
+        raise ValueError(
+            f"supported nilpotency steps are 1..{MAX_SUPPORTED_STEP}, got {step}"
+        )
+    return step
 
 
 @lru_cache(maxsize=None)
@@ -41,8 +56,7 @@ def bch_coefficients(step: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     bracket vanishes identically (repeated innermost letter) and zero
     coefficients are dropped.
     """
-    if not 1 <= step <= MAX_SUPPORTED_STEP:
-        raise ValueError(f"supported nilpotency steps are 1..{MAX_SUPPORTED_STEP}, got {step}")
+    _check_step(step)
     coeffs: dict[tuple[int, ...], Fraction] = {}
 
     def extend(word: tuple, denom: int, blocks: int) -> None:
@@ -95,14 +109,15 @@ class _Poly(dict):
 
 
 class _Law:
-    """x * y = x + y + (sum_j coef_j monomial j) @ back, compiled from a tensor
-    (object array) in a central series basis, where rows X have coordinates
-    X @ into (no into, back: its own).  A product's buffer holds those of x, y
-    in rows 0..2n-1 and monomial j in row 2n + j, row p times row v for
-    (p, v) = pairs[j]; terms are the nonzero (row, coordinate, coefficient)."""
+    """x * y = x + y + sum_j coef_j monomial j, compiled from a tensor (object
+    array) in a central series basis, where rows X have coordinates X @ into
+    and back maps those to X's own (none: X's own basis is the one).  A
+    product's buffer holds the coordinates of x, y in rows 0..2n-1 and
+    monomial j in row 2n + j, row p times row v for (p, v) = pairs[j]; terms
+    are the nonzero (row, coordinate, coefficient) of coef."""
 
-    def __init__(self, tensor: np.ndarray, step: int, into: np.ndarray, back: np.ndarray):
-        n, self.into, self.back = tensor.shape[0], into, back
+    def __init__(self, tensor: np.ndarray, step: int, into=None, back=None):
+        n, self.into = tensor.shape[0], into
         coeff = dict(bch_coefficients(step))  # Fraction times a float entry is a float
         xy = np.empty(2 * n, dtype=object)
         xy[:] = [_Poly({(i,): 1}) for i in range(2 * n)]
@@ -114,12 +129,12 @@ class _Law:
         index = {(i,): i for i in range(2 * n)}
         index.update((m, 2 * n + j) for j, m in enumerate(sorted(monos, key=lambda m: (len(m), m))))
         self.pairs = [(index[m[:-1]], m[-1]) for m in list(index)[2 * n :]]
-        self.terms = [(index[m], k, c) for m, r in rows.items() if len(m) > 1 for k, c in r.items()]
-        if into is not None and into.dtype == float:
-            coef = np.zeros((len(self.pairs), n))
-            for j, k, c in self.terms:
-                coef[j - 2 * n, k] = c
-            self.coef = coef @ back
+        coef = np.zeros((len(self.pairs), n), dtype=object if into is None else into.dtype)
+        for m, r in rows.items():
+            for k, c in r.items() if len(m) > 1 else ():
+                coef[index[m] - 2 * n, k] = c
+        self.coef = coef if back is None else coef @ back
+        self.terms = [(2 * n + j, k, self.coef[j, k]) for j, k in zip(*np.nonzero(self.coef))]
 
     def apply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """x * y row by row, for (m, n) float or Fraction batches."""
@@ -135,17 +150,16 @@ class _Law:
             if X.dtype != object:
                 o += B[2 * n :].T @ self.coef
                 continue
-            top = exact_zeros(o.shape)  # Fractions: the nonzero terms only
-            for j, k, c in self.terms:
-                top[:, k] += c * B[j]
-            o += top if self.back is None else top @ self.back
+            for j, k, c in self.terms:  # Fractions: the nonzero terms only
+                o[:, k] += c * B[j]
         return out
 
 
-def _float_law(tensor: np.ndarray, step: int) -> _Law:
-    """The law in an orthonormal central series basis; the bracket entries the
-    filtration forbids must be rounding noise, and are set to 0."""
-    _, Q, deg = _central_series_basis(tensor)
+def _float_law(tensor: np.ndarray, step: int, series) -> _Law:
+    """The law in the orthonormal central series basis of `series` (walked
+    here if None); the bracket entries the filtration forbids must be
+    rounding noise, and are set to 0."""
+    _, Q, deg = series or central_series_basis(tensor)
     T = np.einsum("ia,jb,ijk,kc->abc", Q, Q, tensor, Q)
     forced = deg[:, None, None] + deg[None, :, None] > deg[None, None, :]
     dropped = np.abs(T[forced]).max(initial=0.0)
@@ -156,33 +170,35 @@ def _float_law(tensor: np.ndarray, step: int) -> _Law:
 
 def _exact_law(g, step: int) -> _Law:
     """The law in a rational basis P whose columns extend a basis of each g^(t+1)
-    to one of g^t; in the algebra's own one if P only permutes and flips axes."""
+    to one of g^t; in the algebra's own one if P only permutes and scales axes,
+    so that a product needs no change of basis."""
     P = exact_zeros((g.dim, 0))
     for B in reversed([exact_eye(g.dim)] + g.lower_central_series()):
         P = np.hstack([P, B])[:, exact_rref(np.hstack([P, B]))[1]]
     if ((P != 0).sum(axis=0) == 1).all():  # its own axes are adapted already
-        return _Law(g.tensor_exact, step, None, None)
+        return _Law(g.tensor_exact, step)
     Pinv = exact_inv(P)
     T = np.einsum("ia,jb,ijk,ck->abc", P, P, g.tensor_exact, Pinv, optimize=True)
     return _Law(T, step, Pinv.T, P.T)
 
 
-def _algebra_law(g, exact: bool):
-    """The algebra's exact _Law or its GroupOps, made on first use."""
-    if exact not in g._group_laws:
-        step = g.nilpotency_step()
-        if step is None:
-            raise ValueError(f"{g.name} is not nilpotent; it has no BCH group structure")
-        g._group_laws[exact] = _exact_law(g, step) if exact else GroupOps(g.tensor, step)
-    return g._group_laws[exact]
+def _step_of(g) -> int:
+    step = g.nilpotency_step()
+    if step is None:
+        raise ValueError(f"{g.name} is not nilpotent; it has no BCH group structure")
+    return step
 
 
 def bch_product(g, x, y):
     """Group product of exponential coordinates; exact for rational input.
-    g must be nilpotent of step at most MAX_SUPPORTED_STEP."""
+
+    Requires g nilpotent of step at most MAX_SUPPORTED_STEP.
+    """
     if is_exact(x) and is_exact(y):
-        return _algebra_law(g, True).apply(x[None, :], y[None, :])[0]
-    return _algebra_law(g, False).product(to_float(x)[None, :], to_float(y)[None, :])[0]
+        if g._exact_group_law is None:  # one exact law per algebra
+            g._exact_group_law = _exact_law(g, _step_of(g))
+        return g._exact_group_law.apply(x[None, :], y[None, :])[0]
+    return GroupOps.for_algebra(g).product(to_float(x)[None, :], to_float(y)[None, :])[0]
 
 
 def inverse(x):
@@ -191,8 +207,13 @@ def inverse(x):
 
 
 def dilate(g, A, lam: float, x, *, check: bool = True):
-    """lam^A x, for a derivation A, so that lam^A is a group automorphism."""
+    """Apply the dilation lam^A to a group element.
+
+    A must be a derivation, so that lam^A is a group automorphism.
+    """
     if check:
+        from .algebra import check_derivation
+
         res = check_derivation(g, A)
         if not res:
             raise ValueError(f"dilation generator is not a derivation: {res.message}")
@@ -201,27 +222,31 @@ def dilate(g, A, lam: float, x, *, check: bool = True):
 
 class GroupOps:
     """The float group law of one structure tensor on (m, n) row batches (a
-    one-row batch broadcasts).  Constructing one computes nothing: the first
-    `product` compiles the law (see `_Law`) and every later one reuses it."""
+    one-row batch broadcasts).  Constructing one only checks the step: the
+    first `product` compiles the law (see `_Law`) in the tensor's
+    `central_series_basis`, given as `series` if the caller has it, and
+    every later product reuses it."""
 
-    def __init__(self, tensor: np.ndarray, step: int):
+    def __init__(self, tensor: np.ndarray, step: int, series=None):
         self.tensor = np.asarray(tensor, dtype=float)
-        self.step = max(1, int(step))
-        self._law: _Law | None = None
+        self.step = _check_step(max(1, int(step)))
+        self._series, self._law = series, None
 
     @classmethod
     def for_algebra(cls, g) -> "GroupOps":
         """The algebra's GroupOps, one per algebra."""
-        return _algebra_law(g, False)
+        if g._group_ops is None:
+            g._group_ops = cls(g.tensor, _step_of(g))
+        return g._group_ops
 
     def product(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X, Y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (X, Y))
         if self._law is None:
-            self._law = _float_law(self.tensor, self.step)
+            self._law = _float_law(self.tensor, self.step, self._series)
         return self._law.apply(*np.broadcast_arrays(X, Y))
 
 
-def _central_series_basis(tensor: np.ndarray, tol: float = 1e-10):
+def central_series_basis(tensor: np.ndarray, tol: float = 1e-10):
     """One SVD walk down the lower central series g = g^1 > ... > g^s > 0 of a
     float structure tensor: (s, Q, degrees), the columns of the orthonormal Q
     of degree t spanning g^t modulo g^(t+1).  ValueError if g is not nilpotent."""
@@ -248,6 +273,6 @@ def _central_series_basis(tensor: np.ndarray, tol: float = 1e-10):
 def float_nilpotency_step(tensor: np.ndarray, tol: float = 1e-10) -> int | None:
     """Nilpotency step of a float structure tensor via the central series."""
     try:
-        return _central_series_basis(tensor, tol)[0]
+        return central_series_basis(tensor, tol)[0]
     except ValueError:
         return None

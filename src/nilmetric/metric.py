@@ -33,13 +33,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import to_float
 from .grading import WEIGHT_TOL, Grading, grading_from_derivation
-from .group import GroupOps, float_nilpotency_step
+from .group import GroupOps, central_series_basis
 from .spectral import (
     DilationAction,
     SpectralData,
@@ -247,11 +247,13 @@ def ball_from_json(obj: dict):
 
 @dataclass(frozen=True)
 class AlgebraView:
-    """Float-backend view of a nilpotent algebra: enough for group ops."""
+    """Float-backend view of a nilpotent algebra: enough for group ops.
+    series is the tensor's `central_series_basis`, if already walked."""
 
     dim: int
     tensor: np.ndarray
     step: int
+    series: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, g) -> "AlgebraView":
@@ -266,7 +268,9 @@ class AlgebraView:
 
     def ops(self) -> GroupOps:
         """The view's group law: one GroupOps, shared by every caller."""
-        return self.__dict__.setdefault("_ops", GroupOps(self.tensor, self.step))
+        if "_ops" not in self.__dict__:
+            self.__dict__["_ops"] = GroupOps(self.tensor, self.step, self.series)
+        return self.__dict__["_ops"]
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +741,11 @@ def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.nda
     if np.linalg.norm(proj @ A - A_hat @ proj, 2) > 1e-8 * scale:
         raise NumericFailure("capped subspace is not invariant; projection failed")
     qtensor = np.einsum("ia,jb,ijk,lk->abl", comp_gonb, comp_gonb, view.tensor, proj)
-    qstep = float_nilpotency_step(qtensor)
-    if qstep is None:
-        raise NumericFailure("quotient by the capped subspace is not nilpotent")
-    return comp_gonb, proj, A_hat, AlgebraView(comp_gonb.shape[1], qtensor, qstep)
+    try:  # one walk gives the quotient's step and its law's basis
+        series = central_series_basis(qtensor)
+    except ValueError:
+        raise NumericFailure("quotient by the capped subspace is not nilpotent") from None
+    return comp_gonb, proj, A_hat, AlgebraView(comp_gonb.shape[1], qtensor, series[0], series)
 
 
 def _build_two_layer(view, action: DilationAction, grading: Grading, params, rng):

@@ -115,8 +115,14 @@ def test_steps_above_the_limit_are_rejected():
     assert MAX_SUPPORTED_STEP == 8
     with pytest.raises(ValueError, match="supported nilpotency steps"):
         bch_coefficients(9)
+    # a group law of a larger step is refused when it is made, not used
+    g = _filiform(10)
     with pytest.raises(ValueError, match="supported nilpotency steps"):
-        GroupOps.for_algebra(_filiform(10)).product(np.zeros(10), np.zeros(10))
+        GroupOps.for_algebra(g)
+    with pytest.raises(ValueError, match="supported nilpotency steps"):
+        HomogeneousDistance(AlgebraView.of(g), np.diag(np.arange(1.0, 11.0)), box_ball(10))
+    with pytest.raises(ValueError, match="supported nilpotency steps"):
+        bch_product(g, as_exact([0] * 10), as_exact([0] * 10))
 
 
 def _filiform_matrix(x):
@@ -341,7 +347,7 @@ def test_law_compiled_once_per_view_and_algebra(monkeypatch):
     compiled = []
     init = group._Law.__init__
 
-    def counting(self, tensor, step, into, back):
+    def counting(self, tensor, step, into=None, back=None):
         compiled.append(into is None or into.dtype == object)
         init(self, tensor, step, into, back)
 
