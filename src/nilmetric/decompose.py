@@ -9,8 +9,10 @@ caller's dilation factor; it only rescales A by 1/log(lam).
 
 On top of the factorization, `realify` carries a self-similar distance
 (one dilating automorphism) to a distance homogeneous under the whole
-one-parameter group of A: average over the compact closure of K, then
-take the rebalanced supremum over one dilation period.
+one-parameter group of A: the maximum over the compact closure of K and
+the rebalanced supremum over one dilation period.  For a gauge distance
+whose derivation commutes with A both are one maximum over maps, which
+`averaged_distance` evaluates as a single gauge.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .grading import classify_automorphism
 from .metric import (
     AlgebraView,
     DilationAction,
+    HomogeneousDistance,
     MetricFunction,
     NumericFailure,
     SupOverDilations,
@@ -164,6 +167,26 @@ def _sampled_dilation_defect(
     return float(np.max(np.abs(scaled - lam * base) / np.maximum(lam * base, 1e-300)))
 
 
+def _rebalanced(d: MetricFunction, mats, A: np.ndarray, lam: float, grid: int) -> MetricFunction:
+    """max over mu_j in a geometric grid on [1, lam) and over the closure
+    samples K_k of d(K_k mu_j^A x, K_k mu_j^A y) / mu_j.
+
+    Each K_k commutes with A.  When d is homogeneous for a derivation A_d
+    that commutes with A too, d(mu^A x, mu^A y) / mu = d(M x, M y) with
+    M = mu^(A - A_d), so the supremum is one average over the products
+    mu_j^(A - A_d) K_k: a single gauge per row, or d itself when every
+    product is the identity.
+    """
+    if isinstance(d, HomogeneousDistance):
+        scale = max(1.0, np.linalg.norm(A, 2)) * max(1.0, np.linalg.norm(d.A, 2))
+        if np.linalg.norm(A @ d.A - d.A @ A, 2) <= 1e-9 * scale:
+            # the geometric grid of SupOverDilations
+            shifts = DilationAction(A - d.A).powers(np.geomspace(1.0, lam, grid, endpoint=False))
+            products = shifts[:, None] @ np.asarray(mats)[None]
+            return averaged_distance(d, products.reshape(-1, d.dim, d.dim))
+    return SupOverDilations(averaged_distance(d, mats), A, lam, grid)
+
+
 def realify(
     g: LieAlgebra,
     d: MetricFunction,
@@ -183,6 +206,11 @@ def realify(
     delta remains a dilation of factor lam for d'' up to the sampled
     invariance defect of the compact averaging, and the identity map is
     biLipschitz between d and d''.
+
+    d'' is the maximum of d(K_k mu_j^A x, K_k mu_j^A y) / mu_j over the
+    closure samples K_k and mu_grid points mu_j in [1, lam) (see
+    `_rebalanced`): one gauge per row when d is a `HomogeneousDistance`
+    whose derivation commutes with A, `SupOverDilations` otherwise.
     """
     Df = to_float(delta)
     if lam <= 0 or lam == 1.0:
@@ -205,8 +233,7 @@ def realify(
     dec = decompose_automorphism(g, Df, lam)
     view = AlgebraView.of(g)
     mats, info = compact_closure_samples(dec.K, view=view)
-    d_avg = averaged_distance(d, mats)
-    d_out = SupOverDilations(d_avg, dec.A, lam, mu_grid)
+    d_out = _rebalanced(d, mats, dec.A, lam, mu_grid)
 
     # the K-invariance defect of the sampled closure (its dilation defect
     # at factor 1) drives the residual below

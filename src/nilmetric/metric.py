@@ -544,7 +544,7 @@ def _spanning_rows(rows: np.ndarray) -> np.ndarray:
     so a small parallelepiped {|B x|_inf <= 1} around the polytope)."""
     n = rows.shape[1]
     R = rows.copy()
-    tol = 1e-12 * max(1.0, float(np.abs(rows).max(initial=0.0)))
+    tol = 1e-12 * float(np.abs(rows).max(initial=0.0))
     picked = []
     for _ in range(n):
         norms = np.linalg.norm(R, axis=1)
@@ -871,8 +871,9 @@ class MetricFunction:
 
     def pair_chunked(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """pair() split into chunks sized so that composite distances
-        (max over maps, sup over dilations) stay within a memory budget
-        of 3 million internal rows per call."""
+        (max over maps, sup over dilations) and polytope gauges stay
+        within a memory budget of 3 million internal rows of dim floats
+        per call."""
         P = np.atleast_2d(P)
         Q = np.atleast_2d(Q)
         chunk = max(1, 3_000_000 // max(self.stack_factor, 1))
@@ -1076,6 +1077,15 @@ class HomogeneousDistance(MetricFunction):
         self.dim = view.dim
         if self.action.min_weight <= 0:
             raise ValueError("a dilation gauge needs every eigenvalue of A in Re > 0")
+        if isinstance(ball, PolyBall):
+            # a gauge over R polytope rows holds R / dim floats per row of input
+            self.stack_factor = -(-ball.rows.shape[0] // self.dim)
+            norms = np.linalg.norm(ball.rows, axis=1)
+            rank = np.linalg.matrix_rank(ball.rows[norms > 0] / norms[norms > 0, None])
+            if rank < self.dim:
+                raise ValueError(
+                    f"polytope rows have rank {rank} < {self.dim}; the ball is unbounded"
+                )
         self._closed, solved = _gauge_terms(ball, self.A, np.eye(self.dim))
         self._solved = [
             (b, self.action if A_level is self.A else DilationAction(A_level), P)
@@ -1187,31 +1197,41 @@ class SupOverDilations(MetricFunction):
 
 
 def averaged_distance(d: MetricFunction, K_samples: list[np.ndarray]) -> MetricFunction:
-    """Left-invariant distance max_k d(kx, ky) over sampled isometry
-    candidates (always includes the identity).
+    """Left-invariant distance max_k d(kx, ky) over sampled linear
+    automorphisms k, always including the identity.
 
-    When d is the gauge distance of a polytope ball and every map
-    commutes with the dilation generator, the maximum collapses exactly
-    to the gauge of the intersection of the mapped polytopes, which is
-    evaluated as a single ball test instead of one gauge per map.
+    `realify` passes the products mu_j^(A' - A_d) K_k of its dilation
+    grid and closure samples, so that this one maximum is also its
+    supremum over dilations.  Maps equal to 12 decimals count once; when
+    only the identity is left, the result is d itself.  When d is the
+    gauge distance of a polytope ball and every map commutes with its
+    derivation, the maximum collapses exactly to the gauge of the
+    intersection of the mapped polytopes: one gauge per row instead of
+    one per map.  Zero rows, and rows that repeat up to sign, drop at 12
+    decimals of the largest row norm, so the intersection is the same
+    at every scale of the ball.
     """
-    mats = [np.asarray(M, dtype=float) for M in K_samples]
+    n = d.dim
+    stack = np.concatenate([np.eye(n)[None], np.asarray(K_samples, dtype=float).reshape(-1, n, n)])
+    _, keep = np.unique(np.round(stack, 12).reshape(len(stack), -1), axis=0, return_index=True)
+    mats = stack[np.sort(keep)]
+    if len(mats) == 1:
+        return d
     if (
         isinstance(d, HomogeneousDistance)
         and isinstance(d.ball, PolyBall)
-        and all(
-            np.linalg.norm(M @ d.A - d.A @ M, 2)
+        and np.all(
+            np.linalg.norm(mats @ d.A - d.A @ mats, 2, axis=(1, 2))
             <= 1e-9 * max(1.0, np.linalg.norm(d.A, 2))
-            for M in mats
         )
     ):
-        rows = np.vstack([d.ball.rows] + [d.ball.rows @ M for M in mats])
-        # |r.x| <= 1 is sign-symmetric, so antipodal and duplicate rows drop
-        nz = np.abs(rows) > 1e-12
-        rows = rows[nz.any(axis=1)]
-        first = np.argmax(np.abs(rows) > 1e-12, axis=1)
-        signs = np.sign(rows[np.arange(rows.shape[0]), first])
-        canon = rows * signs[:, None]
+        rows = (d.ball.rows @ mats).reshape(-1, n)
+        # |r.x| <= 1 is sign-symmetric, so antipodal rows are duplicates
+        canon = rows / np.linalg.norm(rows, axis=1).max()
+        nz = np.abs(canon) > 1e-12
+        live = nz.any(axis=1)
+        rows, canon, nz = rows[live], canon[live], nz[live]
+        canon *= np.sign(canon[np.arange(len(canon)), np.argmax(nz, axis=1)])[:, None]
         _, keep = np.unique(np.round(canon, 12), axis=0, return_index=True)
         return HomogeneousDistance(d.view, d.A, PolyBall(rows[np.sort(keep)]))
     return MaxOverMaps(d, mats)

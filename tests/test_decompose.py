@@ -14,8 +14,13 @@ from nilmetric.grading import split_derivation
 from nilmetric.metric import (
     AlgebraView,
     HomogeneousDistance,
+    MaxOverMaps,
+    PolyBall,
+    SupOverDilations,
+    averaged_distance,
     box_ball,
     build_distance,
+    compact_closure_samples,
 )
 from nilmetric.spectral import lambda_pow
 
@@ -155,6 +160,49 @@ def test_realify_already_real_spectrum():
     rng = np.random.default_rng(3)
     X, Y = rng.normal(size=(200, 2)), rng.normal(size=(200, 2))
     assert np.allclose(res.distance.pair(X, Y), d.pair(X, Y), rtol=1e-8)
+
+
+def _unfolded(g, d, delta, lam, grid):
+    """realify's distance as the explicit composition: the sup over a
+    dilation grid of the average over the compact closure."""
+    dec = decompose_automorphism(g, delta, lam)
+    mats, _ = compact_closure_samples(dec.K, view=AlgebraView.of(g))
+    return SupOverDilations(averaged_distance(d, mats), dec.A, lam, grid)
+
+
+def _same_values(g, d1, d2, seed):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(2000, g.dim)) * 2.0, rng.normal(size=(2000, g.dim)) * 2.0
+    v1, v2 = d1.pair_chunked(X, Y), d2.pair_chunked(X, Y)
+    return float(np.max(np.abs(v1 - v2) / v2))
+
+
+def test_realify_folds_the_box_into_one_polytope():
+    d_box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
+    delta = lambda_pow(SPIRAL, math.e)
+    res = realify(R2, d_box, delta, math.e, check_samples=500, seed=0, mu_grid=32)
+    assert isinstance(res.distance, HomogeneousDistance)
+    assert isinstance(res.distance.ball, PolyBall)
+    assert _same_values(R2, res.distance, _unfolded(R2, d_box, delta, math.e, 32), 21) <= 1e-12
+
+
+def test_realify_folds_a_matching_derivation_into_the_base():
+    g = heisenberg()
+    d = build_distance(g, np.diag([1.0, 1.0, 2.0]))
+    delta = np.diag([2.0, 2.0, 4.0])
+    res = realify(g, d, delta, 2.0, check_samples=500, seed=0, mu_grid=48)
+    assert res.distance is d
+    assert _same_values(g, res.distance, _unfolded(g, d, delta, 2.0, 48), 22) <= 1e-12
+
+
+def test_realify_falls_back_on_a_base_that_cannot_fold():
+    # a max over maps is no single gauge; its values must still be the sup
+    # over dilations of the closure average
+    g = heisenberg()
+    d = MaxOverMaps(build_distance(g, np.diag([1.0, 1.0, 2.0])), [np.diag([-1.0, -1.0, 1.0])])
+    delta = np.diag([2.0, 2.0, 4.0])
+    res = realify(g, d, delta, 2.0, check_samples=300, seed=0, mu_grid=16)
+    assert _same_values(g, res.distance, _unfolded(g, d, delta, 2.0, 16), 23) <= 1e-12
 
 
 def test_realify_rejects_wrong_factor():

@@ -586,9 +586,59 @@ def test_box_ball_certificate():
 def test_averaged_distance_identity_only():
     d = build_distance(R2, 2.0 * np.eye(2))
     d2 = averaged_distance(d, [np.eye(2)])
+    assert d2 is d
     rng = np.random.default_rng(9)
     X, Y = rng.normal(size=(200, 2)), rng.normal(size=(200, 2))
     assert np.allclose(d2.pair(X, Y), d.pair(X, Y), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_averaged_distance_polytope_rows_at_every_scale(scale):
+    # the row filter and the dedupe are relative to the largest row, so a
+    # box of any size keeps its rows and its values
+    d = HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall(scale * np.eye(2)))
+    rng = np.random.default_rng(19)
+    X, Y = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+    quarter = averaged_distance(d, [_rot(math.pi / 2)])
+    assert quarter.ball.rows.shape == (2, 2)
+    assert np.allclose(quarter.pair(X, Y), d.pair(X, Y), rtol=1e-12)
+    octagon = averaged_distance(d, [_rot(math.pi / 4)])
+    assert isinstance(octagon, HomogeneousDistance) and octagon.ball.rows.shape == (4, 2)
+    ref = MaxOverMaps(d, [_rot(math.pi / 4)])
+    assert np.allclose(octagon.pair(X, Y), ref.pair(X, Y), rtol=1e-12)
+    assert sample_in_ball(octagon.ball, 2, 10, rng).shape == (10, 2)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1.0, 0.0]], [[1.0, 1.0], [-2.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]]]
+)
+def test_homogeneous_distance_refuses_an_unbounded_polytope(rows):
+    with pytest.raises(ValueError, match="unbounded"):
+        HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall(rows))
+
+
+def test_homogeneous_distance_takes_a_thin_polytope():
+    d = HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall([[1.0, 0.0], [0.0, 1e-30]]))
+    assert d.gauge(np.array([[0.0, 4e30]]))[0] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_pair_chunked_counts_polytope_rows():
+    # 1024 rows through the ball's gauge cost as much memory per input
+    # row as 512 stacked rows of the box's
+    angles = np.linspace(0.0, math.pi, 1024, endpoint=False)
+    d = HomogeneousDistance(R2V, SPIRAL, PolyBall(np.stack([np.cos(angles), np.sin(angles)], axis=1)))
+    assert d.stack_factor == 512
+    sizes = []
+    d.pair = lambda P, Q: (sizes.append(P.shape[0]), np.zeros(P.shape[0]))[1]
+    n = 2 * (3_000_000 // 512) + 5
+    assert d.pair_chunked(np.zeros((n, 2)), np.zeros((n, 2))).shape == (n,)
+    assert sizes == [3_000_000 // 512] * 2 + [5]
+    # a sup over 32 dilations of the 64-map torus average of the box
+    # stacks as many rows of the same width
+    box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
+    mats, _ = compact_closure_samples(_rot(1.0))
+    sup = SupOverDilations(averaged_distance(box, mats), 2.0 * np.eye(2), math.e, 32)
+    assert d.stack_factor >= sup.stack_factor
 
 
 def test_averaged_distance_finite_rotation_orbit():
