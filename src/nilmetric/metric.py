@@ -133,21 +133,107 @@ class NormBall:
 
 class PolyBall:
     """{x : |row . x| <= 1 for every row}; covers sup-norm boxes;
-    excess(x) + 1 = max_i |row_i . x|."""
+    excess(x) + 1 = max_i |row_i . x|.
+
+    That maximum, `support`, is the support function of conv(+-rows).
+    When the rows span R^2 the ball reads it off the vertices of that
+    polygon (see `_polar_polygon`), built on the first evaluation; any
+    other ball takes the maximum over all rows."""
 
     kind = "poly"
 
     def __init__(self, rows: np.ndarray):
         self.rows = np.atleast_2d(np.asarray(rows, dtype=float))
         self.dim = self.rows.shape[1]
+        self._polygon = None  # False once known to take the row maximum
 
     def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.abs(X @ self.rows.T).max(axis=1) <= 1.0 + slack
+        return self.excess(X) <= slack
 
     def excess(self, X: np.ndarray) -> np.ndarray:
+        return self.support(X) - 1.0
+
+    def support(self, X: np.ndarray) -> np.ndarray:
+        """max_i |row_i . x| per row of X."""
         X = np.atleast_2d(X)
-        return np.abs(X @ self.rows.T).max(axis=1) - 1.0
+        if self._polygon is None:
+            spans_plane = self.dim == 2 and len(_independent_rows(self.rows)) == 2
+            self._polygon = _polar_polygon(self.rows) if spans_plane else False
+        if not self._polygon:
+            return np.abs(X @ self.rows.T).max(axis=1)
+        T, theta, a, b = self._polygon
+        Y = X @ T.T
+        # hull vertex j is extreme for theta[j - 1] < angle(y) <= theta[j];
+        # (a, b)[j + 1] is its row, (a, b)[j] and (a, b)[j + 2] its neighbours'
+        j = np.searchsorted(theta, np.arctan2(Y[:, 1], Y[:, 0]))
+        x0, x1 = X[:, 0], X[:, 1]
+        top = np.abs(x0 * a[j] + x1 * b[j])
+        for k in (j + 1, j + 2):
+            np.maximum(top, np.abs(x0 * a[k] + x1 * b[k]), out=top)
+        return top
+
+
+def _independent_rows(rows: np.ndarray) -> list[int]:
+    """Indices of a maximal independent subset of an (m, n) row set, each
+    the row with the largest component orthogonal to those already taken
+    (a large |det|).  A row whose component is within max(m, n) machine
+    epsilons of its own norm counts as dependent, so the count is the rank
+    of the unit rows: a thin but bounded polytope such as
+    {|x| <= 1, |1e-30 y| <= 1} has full rank."""
+    m, n = rows.shape
+    tol = max(m, n) * np.finfo(float).eps * np.linalg.norm(rows, axis=1)
+    R = rows.copy()
+    picked = []
+    for _ in range(n):
+        norms = np.linalg.norm(R, axis=1)
+        free = norms > tol
+        if not free.any():
+            break
+        i = int(np.argmax(np.where(free, norms, -1.0)))
+        picked.append(i)
+        q = R[i] / norms[i]
+        R -= np.outer(R @ q, q)
+    return picked
+
+
+def _polar_polygon(rows: np.ndarray):
+    """The polygon conv(+-rows) of rows spanning R^2, for extreme-point
+    queries by binary search on edge-normal angles (Preparata and Shamos,
+    Computational Geometry, 1985): returns (T, theta, a, b).
+
+    The hull is Andrew's monotone chain (Inf. Proc. Letters 9, 1979), in
+    a frame where the polygon is round: with rows = U diag(s) V^T,
+    r . x = (r V diag(1/s)) . (diag(s) V^T x), and the frame points
+    rows V diag(1/s) = U have orthonormal columns however thin the rows
+    are, so their edge normals have distinct angles.  A query x maps to
+    y = T x, T = diag(s / s_0) V^T.  theta holds the angles of the outward
+    edge normals of the counterclockwise hull, ascending, and (a, b) the
+    rows at its vertices, padded by one vertex before and two after.
+    """
+    m = rows.shape[0]
+    _, s, Vt = np.linalg.svd(rows, full_matrices=False)
+    P = rows @ (Vt.T / s)
+    pts = np.vstack([P, -P])
+    x, y = pts[:, 0].tolist(), pts[:, 1].tolist()
+    # the lower chain, keeping strict left turns only (repeated, zero and
+    # collinear rows drop); the upper chain is its mirror image -lower
+    lower = []
+    for i in np.lexsort((pts[:, 1], pts[:, 0])).tolist():
+        while len(lower) >= 2:
+            o, p = lower[-2], lower[-1]
+            if (x[p] - x[o]) * (y[i] - y[o]) - (y[p] - y[o]) * (x[i] - x[o]) > 0:
+                break
+            lower.pop()
+        lower.append(i)
+    half = np.array(lower[:-1])
+    ring = np.concatenate([half, (half + m) % (2 * m)])
+    edges = pts[np.roll(ring, -1)] - pts[ring]
+    theta = np.arctan2(-edges[:, 0], edges[:, 1])
+    start = int(np.argmin(theta))
+    # vertex j starts edge j, so it is extreme between theta[j - 1] and theta[j]
+    theta, ring = np.roll(theta, -start), np.roll(ring, -start)
+    padded = rows[np.concatenate([ring[-1:], ring, ring[:2]]) % m]
+    return (s / s[0])[:, None] * Vt, theta, padded[:, 0].copy(), padded[:, 1].copy()
 
 
 class LayeredBall:
@@ -539,23 +625,14 @@ def _unit_ball_draws(k: int, count: int, rng: np.random.Generator) -> np.ndarray
 
 
 def _spanning_rows(rows: np.ndarray) -> np.ndarray:
-    """n independent rows of an (m, n) row set, each the one with the
-    largest component orthogonal to those already taken (a large |det|,
-    so a small parallelepiped {|B x|_inf <= 1} around the polytope)."""
+    """n independent rows of an (m, n) row set (`_independent_rows`): a
+    small parallelepiped {|B x|_inf <= 1} around the polytope."""
     n = rows.shape[1]
-    R = rows.copy()
-    tol = 1e-12 * float(np.abs(rows).max(initial=0.0))
-    picked = []
-    for _ in range(n):
-        norms = np.linalg.norm(R, axis=1)
-        i = int(np.argmax(norms))
-        if norms[i] <= tol:
-            raise NumericFailure(
-                f"polytope rows have rank {len(picked)} < {n}; the ball is unbounded"
-            )
-        picked.append(i)
-        q = R[i] / norms[i]
-        R -= np.outer(R @ q, q)
+    picked = _independent_rows(rows)
+    if len(picked) < n:
+        raise NumericFailure(
+            f"polytope rows have rank {len(picked)} < {n}; the ball is unbounded"
+        )
     return rows[picked]
 
 
@@ -932,8 +1009,9 @@ def _gauge_terms(ball, A: np.ndarray, P: np.ndarray):
     a closed form when A acts on it conformally: A^T G + G A = 2t G for a
     NormBall (N = (x^T G x)^(1/2t)), A = t I for a PolyBall
     (N = max_i |r_i . x|^(1/t)).  Returns (closed, solved): closed terms
-    (R, t, sup) mean N = |R x|^(1/t) in the 2-norm or, with sup, the
-    max-norm; solved terms (ball, A, P) go to the Illinois solver.
+    (R, t) mean N = |R x|^(1/t), in the 2-norm for a matrix R and the
+    support function for a PolyBall R; solved terms (ball, A, P) go to the
+    Illinois solver.
     """
     if isinstance(ball, LayeredBall):
         T, Q = ball.top_map, ball.proj
@@ -954,9 +1032,9 @@ def _gauge_terms(ball, A: np.ndarray, P: np.ndarray):
         np.linalg.norm(A) * np.linalg.norm(ball.gram),
     ):
         L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
-        return [(L.T @ P, t, False)], []
+        return [(L.T @ P, t)], []
     if isinstance(ball, PolyBall) and _near(A, t * np.eye(A.shape[0]), np.linalg.norm(A)):
-        return [(ball.rows @ P, t, True)], []
+        return [(PolyBall(ball.rows @ P), t)], []
     return [], [(ball, A, P)]
 
 
@@ -1078,14 +1156,15 @@ class HomogeneousDistance(MetricFunction):
         if self.action.min_weight <= 0:
             raise ValueError("a dilation gauge needs every eigenvalue of A in Re > 0")
         if isinstance(ball, PolyBall):
-            # a gauge over R polytope rows holds R / dim floats per row of input
-            self.stack_factor = -(-ball.rows.shape[0] // self.dim)
-            norms = np.linalg.norm(ball.rows, axis=1)
-            rank = np.linalg.matrix_rank(ball.rows[norms > 0] / norms[norms > 0, None])
+            rank = len(_independent_rows(ball.rows))
             if rank < self.dim:
                 raise ValueError(
                     f"polytope rows have rank {rank} < {self.dim}; the ball is unbounded"
                 )
+            # a plane polytope answers from three hull vertices per row; any
+            # other holds R / dim floats per row of input for its R rows
+            if self.dim != 2:
+                self.stack_factor = -(-ball.rows.shape[0] // self.dim)
         self._closed, solved = _gauge_terms(ball, self.A, np.eye(self.dim))
         self._solved = [
             (b, self.action if A_level is self.A else DilationAction(A_level), P)
@@ -1116,10 +1195,12 @@ class HomogeneousDistance(MetricFunction):
         logm = np.log(m[live])
         logN = np.full(Xn.shape[0], -np.inf)
         with np.errstate(divide="ignore"):
-            for R, t, sup in self._closed:
-                Y = Xn @ R.T
-                size = np.abs(Y).max(axis=1)
-                if not sup:  # the 2-norm scaled by the largest entry cannot underflow
+            for R, t in self._closed:
+                if isinstance(R, PolyBall):
+                    size = R.support(Xn)
+                else:  # the 2-norm scaled by the largest entry cannot underflow
+                    Y = Xn @ R.T
+                    size = np.abs(Y).max(axis=1)
                     size = size * np.linalg.norm(Y / np.where(size > 0, size, 1.0)[:, None], axis=1)
                 logN = np.maximum(logN, (logm + np.log(size)) / t)
         counts = Counter()

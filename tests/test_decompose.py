@@ -186,6 +186,20 @@ def test_realify_folds_the_box_into_one_polytope():
     assert _same_values(R2, res.distance, _unfolded(R2, d_box, delta, math.e, 32), 21) <= 1e-12
 
 
+def test_realified_box_gauge_is_the_root_of_its_row_maximum():
+    # the folded r2-box ball is a 1026-row plane polytope whose gauge reads
+    # excess off its hull; mu = N(x) must put mu^(-A) x on the boundary of
+    # the maximum over all rows
+    d_box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
+    res = realify(R2, d_box, lambda_pow(SPIRAL, math.e), math.e, check_samples=500, seed=0, mu_grid=32)
+    d = res.distance
+    assert d.ball.rows.shape[0] > 1000
+    X = np.random.default_rng(24).normal(size=(2000, 2)) * 3.0
+    N = d.point(X)
+    Y = np.stack([scipy.linalg.expm(-math.log(n) * d.A) @ x for n, x in zip(N, X)])
+    assert np.max(np.abs(np.abs(Y @ d.ball.rows.T).max(axis=1) - 1.0)) <= 1e-9
+
+
 def test_realify_folds_a_matching_derivation_into_the_base():
     g = heisenberg()
     d = build_distance(g, np.diag([1.0, 1.0, 2.0]))

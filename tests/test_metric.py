@@ -623,22 +623,26 @@ def test_homogeneous_distance_takes_a_thin_polytope():
 
 
 def test_pair_chunked_counts_polytope_rows():
-    # 1024 rows through the ball's gauge cost as much memory per input
-    # row as 512 stacked rows of the box's
-    angles = np.linspace(0.0, math.pi, 1024, endpoint=False)
-    d = HomogeneousDistance(R2V, SPIRAL, PolyBall(np.stack([np.cos(angles), np.sin(angles)], axis=1)))
+    # 1536 rows through a 3-D ball's gauge cost as much memory per input
+    # row as 512 stacked rows of width 3
+    rows = np.random.default_rng(27).normal(size=(1536, 3))
+    d = HomogeneousDistance(AlgebraView.of(abelian(3)), 2.0 * np.eye(3), PolyBall(rows))
     assert d.stack_factor == 512
     sizes = []
     d.pair = lambda P, Q: (sizes.append(P.shape[0]), np.zeros(P.shape[0]))[1]
     n = 2 * (3_000_000 // 512) + 5
-    assert d.pair_chunked(np.zeros((n, 2)), np.zeros((n, 2))).shape == (n,)
+    assert d.pair_chunked(np.zeros((n, 3)), np.zeros((n, 3))).shape == (n,)
     assert sizes == [3_000_000 // 512] * 2 + [5]
-    # a sup over 32 dilations of the 64-map torus average of the box
-    # stacks as many rows of the same width
+    # a plane polytope answers from three hull vertices per row, however
+    # many rows it has, so a sup over 32 dilations of the 64-map torus
+    # average of the box stacks 32 rows
+    angles = np.linspace(0.0, math.pi, 1024, endpoint=False)
+    d = HomogeneousDistance(R2V, SPIRAL, PolyBall(np.stack([np.cos(angles), np.sin(angles)], axis=1)))
+    assert d.stack_factor == 1
     box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
     mats, _ = compact_closure_samples(_rot(1.0))
     sup = SupOverDilations(averaged_distance(box, mats), 2.0 * np.eye(2), math.e, 32)
-    assert d.stack_factor >= sup.stack_factor
+    assert sup.stack_factor == 32
 
 
 def test_averaged_distance_finite_rotation_orbit():
@@ -972,6 +976,75 @@ def test_sample_in_poly_ball():
     assert X.shape == (m, 2) and hexagon.contains(X).all()
     share = np.mean(hexagon.contains(2.0 * X))
     assert abs(share - 0.25) <= 5 * math.sqrt(0.25 * 0.75 / m)
+
+
+def _poly_row_sets(rng):
+    """Named plane row sets, each spanning R^2."""
+    g = rng.normal(size=(40, 2))
+    angles = np.linspace(0.0, math.pi, 1026, endpoint=False)
+    sets = {
+        "box": np.eye(2),
+        "circle": np.stack([np.cos(angles), np.sin(angles)], axis=1),
+        "duplicate": np.vstack([g, g[:20], g[:20] * (1.0 + 1e-15 * rng.normal(size=(20, 1)))]),
+        "antipodal-zero": np.vstack([g, -g[::2], np.zeros((3, 2))]),
+    }
+    for k in range(8):
+        sets[f"random-{k}"] = rng.normal(size=(int(rng.integers(2, 60)), 2))
+    # rows of unit length within 1e-30 of one axis, and one row on the
+    # other: the rank of the unit rows is 2
+    for e in (4, 12, 20, 30):
+        sets[f"thin-x-{e}"] = np.vstack([g * np.array([10.0**-e, 1.0]), [10.0**-e, 0.0]])
+        sets[f"thin-y-{e}"] = np.vstack([g * np.array([1.0, 10.0**-e]), [0.0, 10.0**-e]])
+    for e in (-100, 100):
+        sets[f"scale-{e}"] = g * 10.0**e
+    return sets
+
+
+def test_poly_ball_polygon_matches_the_row_maximum():
+    # the plane path reads max_i |r_i . x| off three hull vertices; on the
+    # boundary it agrees with the maximum over all rows to rounding
+    rng = np.random.default_rng(28)
+    for name, rows in _poly_row_sets(rng).items():
+        ball = PolyBall(rows)
+        assert ball._polygon is None, name  # no hull work before the first use
+        X = np.vstack([rng.normal(size=(2000, 2)), np.eye(2), -np.eye(2), [[1.0, 1.0], [1.0, -1.0]]])
+        for Z in (X, X / np.abs(X @ rows.T).max(axis=1)[:, None]):
+            want = np.abs(Z @ rows.T).max(axis=1) - 1.0
+            scale = np.maximum(1.0, want + 1.0)
+            assert np.max(np.abs(ball.excess(Z) - want) / scale) <= 4.5e-16, name
+        assert ball._polygon, name
+        assert np.array_equal(ball.contains(X), ball.excess(X) <= 0.0)
+        # the closed-form gauge of a scalar derivation reads the same polygon,
+        # up to the rounding of its log-space evaluation
+        d = HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall(rows))
+        want = np.sqrt(np.abs(X @ rows.T).max(axis=1))
+        err = np.abs(d.point(X) / want - 1.0) / (1.0 + np.abs(np.log(want)))
+        assert err.max() <= 4 * np.finfo(float).eps, name
+
+
+def test_poly_ball_row_maximum_off_the_plane():
+    # 3-D balls and rank-1 plane row sets keep the maximum over all rows
+    rng = np.random.default_rng(29)
+    rows = rng.normal(size=(30, 3))
+    X = rng.normal(size=(500, 3))
+    assert np.array_equal(PolyBall(rows).excess(X), np.abs(X @ rows.T).max(axis=1) - 1.0)
+    # each set is unbounded along one of these rays
+    U = np.array([[0.0, 1.0], [1.0, 0.0], [math.sqrt(0.5), -math.sqrt(0.5)]])
+    for rows in ([[1.0, 0.0]], [[1.0, 1.0], [-2.0, -2.0]], [[0.0, 1.0], [0.0, -3.0], [0.0, 0.0]]):
+        ball = PolyBall(rows)
+        X = rng.normal(size=(50, 2))
+        assert np.array_equal(ball.excess(X), np.abs(X @ ball.rows.T).max(axis=1) - 1.0)
+        assert ball._polygon is False
+        with pytest.raises(NumericFailure, match="unbounded"):
+            _ray_radii(ball, U)
+
+
+def test_sample_in_ball_of_a_thin_polytope():
+    # the rows are independent relative to their own norms
+    ball = PolyBall([[1.0, 0.0], [0.0, 1e-30]])
+    X = sample_in_ball(ball, 2, 1000, np.random.default_rng(30))
+    assert X.shape == (1000, 2) and ball.contains(X).all()
+    assert np.abs(X[:, 1]).max() > 0.5e30
 
 
 def test_sphere_polyline_euclidean():
