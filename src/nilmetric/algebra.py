@@ -93,7 +93,8 @@ class LieAlgebra:
         self._tensor_float = to_float(self._tensor_exact)
         self._check_jacobi()
         self._step: int | None | str = "unset"
-        self._group_ops = self._exact_group_law = None  # made by nilmetric.group
+        # made on first use by nilmetric.group and nilmetric.metric
+        self._group_ops = self._exact_group_law = self._view = None
 
     def _build_tensor(self) -> np.ndarray:
         n = self.dim

@@ -155,14 +155,17 @@ def cmd_eval(args) -> int:
     g, op, lam, ball_tag = _resolve_problem(args)
     if op is None:
         raise UsageError("eval needs a derivation")
-    d = _built_distance(args, g, op, ball_tag)
-    pairs = _load_json(args.pairs)
+    want = f"a JSON array of [p, q] pairs of {g.dim}-vectors, shape (N, 2, {g.dim})"
     try:
-        P = np.array([p[0] for p in pairs], dtype=float)
-        Q = np.array([p[1] for p in pairs], dtype=float)
-    except (TypeError, IndexError, ValueError):
-        raise UsageError("pairs file must be a JSON array of [p, q] coordinate pairs")
-    vals = d.pair_chunked(P, Q)
+        PQ = np.asarray(_load_json(args.pairs), dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError(f"pairs file must be {want}")
+    if PQ.shape == (0,):  # no pairs
+        PQ = PQ.reshape(0, 2, g.dim)
+    if PQ.shape[1:] != (2, g.dim):
+        raise UsageError(f"pairs file must be {want}; got shape {PQ.shape}")
+    d = _built_distance(args, g, op, ball_tag)
+    vals = d.pair_chunked(PQ[:, 0], PQ[:, 1])
     lines = ["index,distance"]
     lines += [f"{i},{v:.12g}" for i, v in enumerate(vals)]
     text = "\n".join(lines) + "\n"

@@ -35,7 +35,12 @@ __all__ = [
 
 MAX_SUPPORTED_STEP = 8
 _FILTRATION_TOL = 1e-9  # relative size of the forbidden brackets the float law zeroes
-_BLOCK_ROWS = 4096  # rows per block of a product: its buffer stays small
+# A product runs over blocks of rows: each block's buffer holds at most
+# _BLOCK_BYTES (it stays in a core's L2 cache), and a block has at most
+# _BLOCK_ROWS rows (the three buffer rows of one multiply stay in L1).
+# Both come from the block-size sweep over the benchmark laws in BENCH_14.json.
+_BLOCK_BYTES = 1 << 20
+_BLOCK_ROWS = 2048
 
 
 def _check_step(step: int) -> int:
@@ -112,9 +117,10 @@ class _Law:
     """x * y = x + y + sum_j coef_j monomial j, compiled from a tensor (object
     array) in a central series basis, where rows X have coordinates X @ into
     and back maps those to X's own (none: X's own basis is the one).  A
-    product's buffer holds the coordinates of x, y in rows 0..2n-1 and
-    monomial j in row 2n + j, row p times row v for (p, v) = pairs[j]; terms
-    are the nonzero (row, coordinate, coefficient) of coef."""
+    product runs over blocks of `block` rows; a block's buffer holds the
+    coordinates of x, y in rows 0..2n-1 and monomial j in row 2n + j, row p
+    times row v for (p, v) = pairs[j]; terms are the nonzero (row,
+    coordinate, coefficient) of coef."""
 
     def __init__(self, tensor: np.ndarray, step: int, into=None, back=None):
         n, self.into = tensor.shape[0], into
@@ -135,23 +141,31 @@ class _Law:
                 coef[index[m] - 2 * n, k] = c
         self.coef = coef if back is None else coef @ back
         self.terms = [(2 * n + j, k, self.coef[j, k]) for j, k in zip(*np.nonzero(self.coef))]
+        width = 2 * n + len(self.pairs)  # rows of the buffer, 8-byte entries
+        self.block = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * width)))
 
     def apply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """x * y row by row, for (m, n) float or Fraction batches."""
         n, out = X.shape[1], X + Y
         if self.into is not None:
             X, Y = X @ self.into, Y @ self.into
-        for lo in range(0, X.shape[0], _BLOCK_ROWS):
-            x, y, o = (a[lo : lo + _BLOCK_ROWS] for a in (X, Y, out))
-            B = np.empty((2 * n + len(self.pairs), x.shape[0]), dtype=X.dtype)
-            B[:n], B[n : 2 * n] = x.T, y.T
+        # one buffer serves every block; a one-row block gets a zero row, as a
+        # one-row matrix product takes BLAS's matrix-vector path, which rounds
+        # differently, and the output would depend on where the blocks end
+        rows = max(min(self.block, X.shape[0]), 2)
+        buf = np.empty((2 * n + len(self.pairs), rows), dtype=X.dtype)
+        for lo in range(0, X.shape[0], self.block):
+            x, y, o = (a[lo : lo + self.block] for a in (X, Y, out))
+            m = x.shape[0]
+            B = buf[:, : max(m, 2)]
+            B[:n, :m], B[n : 2 * n, :m], B[: 2 * n, m:] = x.T, y.T, 0
             for j, (p, v) in enumerate(self.pairs, 2 * n):
                 np.multiply(B[p], B[v], out=B[j])
             if X.dtype != object:
-                o += B[2 * n :].T @ self.coef
+                o += (B[2 * n :].T @ self.coef)[:m]
                 continue
             for j, k, c in self.terms:  # Fractions: the nonzero terms only
-                o[:, k] += c * B[j]
+                o[:, k] += c * B[j, :m]
         return out
 
 

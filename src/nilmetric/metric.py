@@ -103,10 +103,12 @@ class BuildRejected(ValueError):
 # A ball is a set only: the derivation that dilates it belongs to the
 # distance (`HomogeneousDistance.A`) or is passed to `dilate_ball`, so
 # one ball can serve more than one derivation.  `sample_in_ball` draws
-# uniform points from each variant's own structure: a linear image of a
-# euclidean ball for NormBall, a product of the cap ball and the inner
-# ball for LayeredBall, and the parallelepiped of n independent rows
-# for PolyBall.
+# uniform points from each variant's own structure: every ball is a
+# linear image of a product of round balls (one per cap level and one for
+# a NormBall base) and at most one polytope, drawn from the
+# parallelepiped of n independent rows.  A LayeredBall keeps that flat
+# form (`_sampling_form`: the level dims and caps, the base and one
+# composed map), made on its first draw, so a draw is one product.
 # ---------------------------------------------------------------------------
 
 
@@ -176,13 +178,16 @@ class PolyBall:
 def _independent_rows(rows: np.ndarray) -> list[int]:
     """Indices of a maximal independent subset of an (m, n) row set, each
     the row with the largest component orthogonal to those already taken
-    (a large |det|).  A row whose component is within max(m, n) machine
-    epsilons of its own norm counts as dependent, so the count is the rank
-    of the unit rows: a thin but bounded polytope such as
-    {|x| <= 1, |1e-30 y| <= 1} has full rank."""
+    (a large |det|), judged after scaling each column by its largest
+    |entry| (an all-zero column by 1), which leaves the rank as it is.  A
+    row whose component is within max(m, n) machine epsilons of its own
+    norm counts as dependent, so the count is the rank of the unit scaled
+    rows: a thin but bounded polytope such as {|x| <= 1, |1e-30 y| <= 1},
+    or rows all within 1e-20 of one axis, has full rank."""
     m, n = rows.shape
-    tol = max(m, n) * np.finfo(float).eps * np.linalg.norm(rows, axis=1)
-    R = rows.copy()
+    scale = np.abs(rows).max(axis=0, initial=0.0)
+    R = rows / np.where(scale > 0, scale, 1.0)
+    tol = max(m, n) * np.finfo(float).eps * np.linalg.norm(R, axis=1)
     picked = []
     for _ in range(n):
         norms = np.linalg.norm(R, axis=1)
@@ -256,6 +261,7 @@ class LayeredBall:
         self.proj = np.atleast_2d(np.asarray(proj, dtype=float))
         self.inner = inner
         self.dim = self.top_map.shape[1]
+        self._flat = None  # its `_sampling_form`, made on the first draw
 
     def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
         X = np.atleast_2d(X)
@@ -343,10 +349,16 @@ class AlgebraView:
 
     @classmethod
     def of(cls, g) -> "AlgebraView":
-        step = g.nilpotency_step()
-        if step is None:
-            raise ValueError(f"{g.name} is not nilpotent")
-        return cls(g.dim, g.tensor, step)
+        """g's view, one per algebra; its group law is the algebra's
+        `GroupOps.for_algebra(g)`, so an algebra compiles one float law."""
+        if g._view is None:
+            step = g.nilpotency_step()
+            if step is None:
+                raise ValueError(f"{g.name} is not nilpotent")
+            view = cls(g.dim, g.tensor, step)
+            view.__dict__["_ops"] = GroupOps.for_algebra(g)
+            g._view = view
+        return g._view
 
     @property
     def is_abelian(self) -> bool:
@@ -620,7 +632,12 @@ def _unit_ball_draws(k: int, count: int, rng: np.random.Generator) -> np.ndarray
     direction scaled by U^(1/k) (Muller, Comm. ACM 2(4), 1959)."""
     G = rng.standard_normal((count, k))
     r = rng.random(count) ** (1.0 / max(k, 1))
-    norms = np.linalg.norm(G, axis=1)
+    # |g|^2 summed over the coordinates in order, a column at a time (a
+    # reduction along the short rows costs several times as much)
+    sq = np.zeros(count)
+    for j in range(k):
+        sq += G[:, j] * G[:, j]
+    norms = np.sqrt(sq)
     return G * (r / np.where(norms > 0, norms, 1.0))[:, None]
 
 
@@ -642,56 +659,85 @@ _POLY_ROUNDS = 64
 _POLY_ROUND_ROWS = 1 << 18
 
 
-def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points drawn uniformly from the ball, read off its structure.
-
-    * NormBall: x = L^-T u with u uniform in the unit n-ball and
-      gram = L L^T, so x^T gram x = |u|^2.
-    * LayeredBall: in the coordinates M x, M = [top_map; proj] (square
-      and invertible: proj vanishes exactly on the capped span, where
-      top_map is injective) the ball is the product of the cap-radius
-      ball and the inner ball; so x = M^-1 [a; b] with a uniform in the
-      cap ball and b drawn from the inner ball.  This holds for dilated
-      and deserialized balls alike.
-    * PolyBall: uniform draws from the parallelepiped of n independent
-      rows, which contains the polytope, kept where inside (a box keeps
-      every draw).
-    """
-    if ball.dim != dim:
-        raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
+def _sampling_form(ball):
+    """(levels, base, F) with ball = {[c_1 u_1, ..., c_L u_L, p] F}: levels
+    [(k_i, c_i)] top-down with u_i in the unit k_i-ball, p in the PolyBall
+    base (None: no base), F square.  A NormBall is one level, F = L^-1; a
+    PolyBall its own base, F = I; a LayeredBall its cap level on top of its
+    inner ball's form, F = blockdiag(I, F_inner) M^-T, kept on the ball
+    from its first draw."""
     if isinstance(ball, NormBall):
-        # rows u^T L^-1 are the points L^-T u
         L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
-        return _unit_ball_draws(dim, count, rng) @ np.linalg.inv(L)
-    if isinstance(ball, LayeredBall):
-        a = ball.cap * _unit_ball_draws(ball.top_map.shape[0], count, rng)
-        b = sample_in_ball(ball.inner, ball.inner.dim, count, rng)
-        M = np.vstack([ball.top_map, ball.proj])
+        return [(ball.dim, 1.0)], None, np.linalg.inv(L)
+    if isinstance(ball, PolyBall):
+        return [], ball, np.eye(ball.dim)
+    if not isinstance(ball, LayeredBall):
+        raise TypeError(f"cannot sample ball of type {type(ball).__name__}")
+    if ball._flat is None:
+        levels, base, F = _sampling_form(ball.inner)
+        k = ball.top_map.shape[0]
         try:
-            return np.hstack([a, b]) @ np.linalg.inv(M).T
+            Minv = np.linalg.inv(np.vstack([ball.top_map, ball.proj]))
         except np.linalg.LinAlgError as err:
             raise NumericFailure(
                 f"[top_map; proj] of a layered ball is not invertible: {err}"
             ) from err
-    if isinstance(ball, PolyBall):
-        Binv = np.linalg.inv(_spanning_rows(ball.rows))
-        parts, got, drawn = [np.empty((0, dim))], 0, 0
-        for _ in range(_POLY_ROUNDS):
-            if got >= count:
-                break
-            # the acceptance so far sizes the next round
-            m = count if drawn == 0 else (count - got) * drawn // max(got, 1) + 64
-            m = min(m, _POLY_ROUND_ROWS)
-            X = rng.uniform(-1.0, 1.0, size=(m, dim)) @ Binv.T
-            parts.append(X[ball.contains(X)])
-            got += parts[-1].shape[0]
-            drawn += m
-        if got < count:
-            raise NumericFailure(
-                f"polytope kept {got} of {drawn} parallelepiped draws in {_POLY_ROUNDS} rounds"
-            )
-        return np.vstack(parts)[:count]
-    raise TypeError(f"cannot sample ball of type {type(ball).__name__}")
+        G = np.eye(ball.dim)
+        G[k:, k:] = F
+        ball._flat = [(k, ball.cap)] + levels, base, G @ Minv.T
+    return ball._flat
+
+
+def _sample_polytope(ball: PolyBall, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draws from the parallelepiped of n independent rows, which
+    contains the polytope, kept where inside (a box keeps every draw)."""
+    dim = ball.dim
+    Binv = np.linalg.inv(_spanning_rows(ball.rows))
+    parts, got, drawn = [np.empty((0, dim))], 0, 0
+    for _ in range(_POLY_ROUNDS):
+        if got >= count:
+            break
+        # the acceptance so far sizes the next round
+        m = count if drawn == 0 else (count - got) * drawn // max(got, 1) + 64
+        m = min(m, _POLY_ROUND_ROWS)
+        X = rng.uniform(-1.0, 1.0, size=(m, dim)) @ Binv.T
+        parts.append(X[ball.contains(X)])
+        got += parts[-1].shape[0]
+        drawn += m
+    if got < count:
+        raise NumericFailure(
+            f"polytope kept {got} of {drawn} parallelepiped draws in {_POLY_ROUNDS} rounds"
+        )
+    return np.vstack(parts)[:count]
+
+
+def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points drawn uniformly from the ball, read off its structure.
+
+    Every ball is a linear image of a product of round balls and at most
+    one polytope (`_sampling_form`): a NormBall {x^T L L^T x <= 1} is
+    L^-T times the unit n-ball; a LayeredBall, in the coordinates M x,
+    M = [top_map; proj] (square and invertible: proj vanishes exactly on
+    the capped span, where top_map is injective), is the product of its
+    cap-radius ball and its inner ball, for dilated and deserialized balls
+    alike.  So each level's round ball is drawn, top-down, then the
+    polytope, and one product maps them all.  A polytope is drawn
+    uniformly from the parallelepiped of n independent rows, which
+    contains it, and kept where inside (a box keeps every draw).
+    """
+    if ball.dim != dim:
+        raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
+    levels, base, F = _sampling_form(ball)
+    if ball is base:
+        return _sample_polytope(ball, count, rng)
+    # a row per coordinate, so that each level fills a contiguous block
+    XT, lo = np.empty((dim, count)), 0
+    for k, cap in levels:
+        np.multiply(_unit_ball_draws(k, count, rng).T, cap, out=XT[lo : lo + k])
+        lo += k
+    if base is not None:
+        XT[lo:] = _sample_polytope(base, count, rng).T
+    return XT.T @ F
 
 
 @dataclass

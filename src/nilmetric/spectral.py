@@ -327,15 +327,17 @@ class DilationAction:
                     fac = fac * logm / j
                 Y += fac[:, None] * (X @ Nj.T)
         xi = Y @ self.Prinv.T
-        out = np.empty_like(xi)
 
-        def scaled(v, weights):
+        def scaled(v, weights, out=None):
             logf = np.outer(logm, weights)
             if logscale is None:
-                return v * np.exp(logf)
+                return np.multiply(v, np.exp(logf, out=logf), out=out)
             with np.errstate(divide="ignore"):
-                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v)
+                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v, out=out)
 
+        if not self.pair_idx.size:  # a real spectrum: real_idx is 0..n-1 in order
+            return scaled(xi, self.real_a, out=xi) @ self.Pr.T
+        out = np.empty_like(xi)
         if self.real_idx.size:
             out[:, self.real_idx] = scaled(xi[:, self.real_idx], self.real_a)
         if self.pair_idx.size:

@@ -122,6 +122,28 @@ def test_eval_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_eval_of_no_pairs_writes_the_header(tmp_path, capsys):
+    pf = tmp_path / "pairs.json"
+    pf.write_text("[]")
+    rc, out, _ = run(capsys, "eval", "--catalog", "heisenberg", "--derivation", "standard", "--pairs", str(pf))
+    assert rc == 0 and out == "index,distance\n"
+
+
+@pytest.mark.parametrize(
+    "pairs, shape",
+    [
+        ([[[0.0, 0.0], [1.0, 0.0]]], "(1, 2, 2)"),  # points of the wrong dimension
+        ([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]], "(1, 3, 3)"),  # a third point
+    ],
+)
+def test_eval_refuses_pairs_of_the_wrong_shape(tmp_path, capsys, pairs, shape):
+    pf = tmp_path / "pairs.json"
+    pf.write_text(json.dumps(pairs))
+    rc, out, err = run(capsys, "eval", "--catalog", "heisenberg", "--derivation", "standard", "--pairs", str(pf))
+    assert rc == 2 and out == ""
+    assert "shape (N, 2, 3)" in err and f"got shape {shape}" in err
+
+
 def test_build_rejected_exit_one(capsys):
     rc, _, err = run(capsys, "build", "--catalog", "r2", "--derivation", "shear-weight1")
     assert rc == 1

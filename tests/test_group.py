@@ -21,7 +21,14 @@ from nilmetric.group import (
     float_nilpotency_step,
     inverse,
 )
-from nilmetric.metric import AlgebraView, HomogeneousDistance, box_ball
+from nilmetric.metric import (
+    AlgebraView,
+    BuildParams,
+    HomogeneousDistance,
+    box_ball,
+    build_ball,
+    build_distance,
+)
 from nilmetric.spectral import lambda_pow
 
 
@@ -342,8 +349,9 @@ def test_group_ops_product_leaves_no_reference_cycle():
 
 def test_law_compiled_once_per_view_and_algebra(monkeypatch):
     # nothing is compiled when a view, its GroupOps or a distance is made;
-    # the first product compiles, and later products and callers reuse it
-    # (compiled lists whether each compiled law is exact)
+    # the first product compiles, and later products and callers reuse it:
+    # an algebra's view shares its float law (compiled lists whether each
+    # compiled law is exact)
     compiled = []
     init = group._Law.__init__
 
@@ -365,7 +373,47 @@ def test_law_compiled_once_per_view_and_algebra(monkeypatch):
     for _ in range(3):
         bch_product(g, x, x)
         bch_product(g, x.astype(float), x.astype(float))
-    assert compiled == [False, True, False]
+    assert compiled == [False, True]
+
+
+def test_one_view_per_algebra_and_build_distance_compiles_its_top_law_once(monkeypatch):
+    compiled = []  # the dimension of each law compiled
+    init = group._Law.__init__
+
+    def counting(self, tensor, step, into=None, back=None):
+        compiled.append(tensor.shape[0])
+        init(self, tensor, step, into, back)
+
+    monkeypatch.setattr(group._Law, "__init__", counting)
+    g = engel()
+    assert AlgebraView.of(g) is AlgebraView.of(g)
+    assert AlgebraView.of(g).ops() is GroupOps.for_algebra(g)
+    params = BuildParams(convexity_samples=2000, cap_samples=2000)
+    d = build_distance(g, np.diag([1.0, 1.0, 2.0, 3.0]), params=params)
+    d.pair(np.ones((3, 4)), np.zeros((3, 4)))
+    # the top law once, for the build and the distance; the quotient's law once
+    assert sorted(compiled) == [3, 4]
+    build_ball(g, np.diag([1.0, 1.0, 2.0, 3.0]), params=params)
+    assert sorted(compiled) == [3, 3, 4]  # a quotient view compiles its own
+
+
+@pytest.mark.parametrize("make", [heisenberg, engel, _free23, _filiform7])
+def test_law_output_is_the_same_for_every_block_size(make):
+    # a product runs block by block over independent rows, so the size of a
+    # block changes no bit of it; the default block keeps its buffer within
+    # the byte budget
+    g = make()
+    rng = np.random.default_rng(43)
+    X, Y = rng.normal(size=(9000, g.dim)), rng.normal(size=(9000, g.dim))
+    ops = GroupOps(g.tensor, g.nilpotency_step())
+    want = ops.product(X, Y)
+    law = ops._law
+    assert law.block <= group._BLOCK_ROWS
+    assert 8 * law.block * (2 * g.dim + len(law.pairs)) <= group._BLOCK_BYTES
+    for block in (1, 7, 256, 1024, 4096, 8192):
+        law.block = block
+        rows = 500 if block < 256 else 9000  # one multiply per monomial and block
+        assert np.array_equal(ops.product(X[:rows], Y[:rows]), want[:rows]), block
 
 
 def test_group_ops_refuses_a_tensor_off_its_central_series():

@@ -34,6 +34,7 @@ from nilmetric.metric import (
     _illinois_log_gauge,
     _ray_radii,
     _restricted_opnorm,
+    _unit_ball_draws,
     averaged_distance,
     ball_from_json,
     ball_to_json,
@@ -610,7 +611,14 @@ def test_averaged_distance_polytope_rows_at_every_scale(scale):
 
 
 @pytest.mark.parametrize(
-    "rows", [[[1.0, 0.0]], [[1.0, 1.0], [-2.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    "rows",
+    [
+        [[1.0, 0.0]],
+        [[1.0, 1.0], [-2.0, -2.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        # 40 multiples of one thin direction: rank 1 however the columns scale
+        np.outer(np.random.default_rng(46).normal(size=40), [1.0, 1e-20]),
+    ],
 )
 def test_homogeneous_distance_refuses_an_unbounded_polytope(rows):
     with pytest.raises(ValueError, match="unbounded"):
@@ -620,6 +628,13 @@ def test_homogeneous_distance_refuses_an_unbounded_polytope(rows):
 def test_homogeneous_distance_takes_a_thin_polytope():
     d = HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall([[1.0, 0.0], [0.0, 1e-30]]))
     assert d.gauge(np.array([[0.0, 4e30]]))[0] == pytest.approx(2.0, rel=1e-12)
+    # rows all within 1e-20 of the first axis, but not on one line: the rank
+    # is judged with the columns scaled, and the ball reaches ~4.5e19 along e2
+    rows = np.random.default_rng(47).normal(size=(40, 2)) * [1.0, 1e-20]
+    d = HomogeneousDistance(AlgebraView.of(abelian(2)), 2.0 * np.eye(2), PolyBall(rows))
+    X = np.random.default_rng(48).normal(size=(500, 2)) * [1.0, 1e20]
+    want = np.sqrt(np.abs(X @ rows.T).max(axis=1))
+    assert np.max(np.abs(d.point(X) / want - 1.0)) <= 1e-12
 
 
 def test_pair_chunked_counts_polytope_rows():
@@ -937,6 +952,41 @@ def test_dilate_ball_by_another_derivation(sampled_balls, mu):
     assert image.contains(X @ lambda_pow(A2, mu).T, slack=1e-12).all()
     Y = sample_in_ball(image, 3, 20000, rng)
     assert ball.contains(Y @ lambda_pow(A2, 1.0 / mu).T, slack=1e-12).all()
+
+
+def _recursive_sample(ball, count, rng):
+    """sample_in_ball as a recursion over the levels, one hstack, inverse
+    and product per level: the reference for the flat sampler."""
+    if isinstance(ball, LayeredBall):
+        a = ball.cap * _unit_ball_draws(ball.top_map.shape[0], count, rng)
+        b = _recursive_sample(ball.inner, count, rng)
+        return np.hstack([a, b]) @ np.linalg.inv(np.vstack([ball.top_map, ball.proj])).T
+    if isinstance(ball, NormBall):
+        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
+        return _unit_ball_draws(ball.dim, count, rng) @ np.linalg.inv(L)
+    return sample_in_ball(ball, ball.dim, count, rng)
+
+
+@pytest.mark.parametrize(
+    "name", [*SAMPLED, "heisenberg", "engel with a doubled cap", *(f"reference {k}" for k in FROZEN_CASES)]
+)
+def test_flat_sampler_matches_the_recursion(sampled_balls, name):
+    # one product with the composed map in place of one per level: the same
+    # draws in the same order, so the generator ends in the same state and
+    # the points agree to rounding
+    if name.startswith("reference "):
+        ball = _frozen_ball(name.removeprefix("reference "))
+    elif name == "engel with a doubled cap":
+        ball = sampled_balls["engel"].with_cap(2.0 * sampled_balls["engel"].cap)
+    else:
+        ball = sampled_balls[name]
+    rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
+    for _ in range(2):  # the second draw reuses the form the first one made
+        X = sample_in_ball(ball, ball.dim, 5000, rng)
+        Y = _recursive_sample(ball, 5000, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ulp = np.finfo(float).eps * np.abs(Y).max(axis=1, keepdims=True)
+        assert np.all(np.abs(X - Y) <= 4 * ulp)
 
 
 def test_sample_in_norm_ball_is_uniform():

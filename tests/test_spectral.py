@@ -132,6 +132,68 @@ def test_powers_stack_the_action_on_the_identity():
             assert np.array_equal(P[i], act.apply(mu, np.eye(n)).T)
 
 
+def _dilate_by_gather(act, logm, X, logscale=None):
+    """DilationAction._dilate with every spectrum on the general path: the
+    real eigen-coordinates gathered, scaled and scattered back, the complex
+    pairs rotated and scaled; the reference for the real-spectrum path."""
+    Y = X
+    if len(act.npows) > 1:
+        Y = np.zeros_like(X)
+        fac = np.ones_like(logm)
+        for j, Nj in enumerate(act.npows):
+            if j > 0:
+                fac = fac * logm / j
+            Y += fac[:, None] * (X @ Nj.T)
+    xi = Y @ act.Prinv.T
+    out = np.empty_like(xi)
+
+    def scaled(v, weights):
+        logf = np.outer(logm, weights)
+        if logscale is None:
+            return v * np.exp(logf)
+        with np.errstate(divide="ignore"):
+            return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v)
+
+    if act.real_idx.size:
+        out[:, act.real_idx] = scaled(xi[:, act.real_idx], act.real_a)
+    if act.pair_idx.size:
+        ang = np.outer(logm, act.pair_b)
+        c, s = np.cos(ang), np.sin(ang)
+        u, v = xi[:, act.pair_idx], xi[:, act.pair_idx + 1]
+        out[:, act.pair_idx] = scaled(c * u + s * v, act.pair_a)
+        out[:, act.pair_idx + 1] = scaled(-s * u + c * v, act.pair_a)
+    return out @ act.Pr.T
+
+
+@pytest.mark.parametrize(
+    "weights, nilpotent",
+    [("112", False), ("1123", False), ("11233", False), ("1123456", False), ("1123", True), ("SPIRAL", False)],
+)
+def test_dilate_of_a_real_spectrum_scales_in_place(weights, nilpotent):
+    # a real spectrum scales its eigen-coordinates in place, in their own
+    # order; that is the general path bit for bit, with and without the
+    # log-space scale, in a random basis and with a nilpotent part; the
+    # spiral's complex pair keeps the general path
+    rng = np.random.default_rng(41)
+    if weights == "SPIRAL":
+        A = SPIRAL
+    else:
+        D = np.diag([float(w) for w in weights])
+        if nilpotent:
+            D[0, 1] = 0.7  # a Jordan block at weight 1
+        P = np.eye(len(weights)) + 0.3 * rng.normal(size=D.shape)
+        A = P @ D @ np.linalg.inv(P)
+    act = DilationAction(A)
+    assert (act.pair_idx.size > 0) == (weights == "SPIRAL")
+    assert (len(act.npows) > 1) == nilpotent
+    X = rng.normal(size=(500, A.shape[0]))
+    X[:7] = 0.0  # zero rows, whose logs are -inf
+    logm = rng.normal(size=500) * 3.0
+    logscale = rng.normal(size=500)
+    for ls in (None, logscale):
+        assert np.array_equal(act._dilate(logm, X, ls), _dilate_by_gather(act, logm, X, ls))
+
+
 def test_lambda_pow_exact_rational():
     A = as_exact([[0, 1], [0, 0]])
     E = lambda_pow_exact(A, 1)  # lam = e
