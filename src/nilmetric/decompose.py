@@ -18,6 +18,7 @@ whose derivation commutes with A both are one maximum over maps, which
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,6 @@ from .metric import (
     SupOverDilations,
     averaged_distance,
     bilipschitz_constants,
-    common_period,
-    compact_closure_samples,
-    torus_grid_mats,
 )
 from .spectral import generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
 
@@ -46,6 +44,7 @@ __all__ = [
     "realify",
     "RealifyResult",
     "add_compact_part",
+    "compact_closure_samples",
 ]
 
 
@@ -141,6 +140,117 @@ def decompose_automorphism(g: LieAlgebra, phi, lam: float) -> DilationDecomposit
             + "; ".join(m for m in (ak.message, ad.message) if m)
         )
     return DilationDecomposition(K, A, float(lam), residuals)
+
+
+# A period q of the phases closes the powers of K into an orbit of q maps
+# when q <= _MAX_ORBIT and every q * phase is within _ORBIT_TOL turns of a
+# whole turn; it closes the flow exp(tK) into a circle, sampled at
+# grid_per_angle * q <= _MAX_CIRCLE points, when q <= _MAX_CIRCLE and every
+# q * rate / (slowest rate) is within _CIRCLE_TOL of an integer.  Otherwise
+# the closure is a torus, sampled by a product grid of at most _MAX_TORUS
+# maps, with _TORUS_GRID points per phase for the powers.
+_MAX_ORBIT, _ORBIT_TOL = 10**4, 1e-6 / (2 * math.pi)
+_MAX_CIRCLE, _CIRCLE_TOL = 4096, 1e-9
+_MAX_TORUS = 10**5
+_TORUS_GRID = 64
+
+
+def _closure_samples(K, view: AlgebraView | None, *, flow: bool, grid: int = _TORUS_GRID):
+    """Samples P diag(e^(i phi)) P^-1 of the compact closure of the powers
+    K^k (flow False: K's eigenvalues have modulus 1) or of the flow exp(tK)
+    (flow True: K's spectrum is imaginary), for P the spectral basis of a K
+    that must be diagonalizable over C, and (mats, info) naming the regime.
+
+    phi is a column's phase times t: t = 0..q-1 on an orbit of the powers,
+    t on a grid of one period of a circle of the flow.  On a torus, phi runs
+    over a product grid with one direction per phase modulus, where a phase
+    pi of the powers takes {0, pi} only.  On a non-Abelian view, samples
+    that fail the automorphism identity are dropped with a warning.
+    """
+    Kf = to_float(K)
+    n = Kf.shape[0]
+    spec = generalized_eigenspaces(Kf)
+    values = spec.column_values()
+    rates = values.imag if flow else np.angle(values)
+    off = np.abs(values.real if flow else np.abs(values) - 1.0).max()
+    if off > 1e-9:
+        where = "imaginary axis" if flow else "unit circle"
+        raise ValueError(f"K has an eigenvalue {off:.2e} off the {where}; no compact closure")
+    if not all(c.diagonalizable for c in spec.clusters):
+        raise ValueError("K is not diagonalizable over C; it has no compact closure")
+    pos = sorted({round(abs(w), 12) for w in rates if abs(w) > 1e-12})
+    if not pos:
+        return [np.eye(n)], {"mode": "orbit", "order": 1}
+
+    if flow:
+        base, max_q, tol = pos[0], _MAX_CIRCLE, _CIRCLE_TOL
+    else:
+        base, max_q, tol = 2 * np.pi, _MAX_ORBIT, _ORBIT_TOL
+    qr = np.arange(1, max_q + 1)[:, None] * (rates / base)[None, :]
+    hits = np.flatnonzero(np.all(np.abs(qr - np.round(qr)) <= tol, axis=1))
+    if hits.size:
+        # one direction, t, that each column turns at its own rate
+        q = int(hits[0]) + 1
+        if flow:
+            period = 2 * math.pi * q / base
+            grids = [period * np.linspace(0.0, 1.0, min(grid * q, _MAX_CIRCLE), endpoint=False)]
+            info = {"mode": "circle", "period": period}
+        else:
+            grids, info = [np.arange(q, dtype=float)], {"mode": "orbit", "order": q}
+        dirs, mult = np.zeros(n, dtype=int), rates
+    else:
+        # one direction per phase modulus a, which columns of phase +-a turn by
+        grids = [
+            np.array([0.0, np.pi]) if not flow and abs(a - np.pi) <= 1e-9
+            else np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+            for a in pos
+        ]
+        total = math.prod(len(gv) for gv in grids)
+        if total > _MAX_TORUS:
+            raise NumericFailure(f"torus grid would need {total} elements; reduce grid_per_angle")
+        near = np.abs(rates[:, None] - np.array(pos)[None, :]) <= 1e-9
+        far = np.abs(rates[:, None] + np.array(pos)[None, :]) <= 1e-9
+        dirs, mult = np.argmax(near | far, axis=1), near.any(axis=1) * 1.0 - far.any(axis=1)
+        info = {"mode": "torus", "angles": pos}
+    combos = np.stack([mg.reshape(-1) for mg in np.meshgrid(*grids, indexing="ij")], axis=1)
+
+    P = spec.basis_matrix()
+    Pinv = np.linalg.inv(P)
+    check = view is not None and not view.is_abelian
+    mats, dropped = [], 0
+    for combo in combos:
+        M = ((P * np.exp(1j * (combo[dirs] * mult))[None, :]) @ Pinv).real
+        if check:
+            lhs = np.einsum("ijk,ia,jb->abk", view.tensor, M, M)
+            rhs = np.einsum("abl,kl->abk", view.tensor, M)
+            if np.abs(lhs - rhs).max() > 1e-7:
+                dropped += 1
+                continue
+        mats.append(M)
+    if dropped:
+        warnings.warn(
+            f"{dropped} closure samples were not automorphisms and were dropped", stacklevel=3
+        )
+    if info["mode"] == "torus":
+        info["count"] = len(mats)
+    return mats, info
+
+
+def compact_closure_samples(K, *, view: AlgebraView | None = None):
+    """Finite sample of the closure of the group generated by K, whose
+    eigenvalues must have modulus 1 (within 1e-9) and which must be
+    diagonalizable over C (ValueError otherwise: its powers are unbounded).
+
+    The regime is read off the eigenvalue phases: when some q <= 10^4
+    turns every phase into a multiple of 2 pi (within 1e-6), the closure
+    is the finite orbit I, K, ..., K^(q-1); otherwise it is approximated
+    by a product grid of 64 points per torus direction of the phases.
+    For a non-Abelian algebra the samples are kept only if they are
+    automorphisms (warned otherwise).
+
+    Returns (mats, info) with info describing which regime was used.
+    """
+    return _closure_samples(K, view, flow=False)
 
 
 @dataclass(eq=False)
@@ -275,36 +385,8 @@ def add_compact_part(
     chk = check_derivation(g, Kf, tol=1e-8)
     if not chk:
         raise ValueError(f"K is not a derivation: {chk.message}")
-    spec = generalized_eigenspaces(Kf)
-    worst_re = max(abs(c.value.real) for c in spec.clusters)
-    if worst_re > 1e-9:
-        raise ValueError(
-            f"K has eigenvalue real part {worst_re:.2e}; spectrum must be imaginary"
-        )
-    if not all(c.diagonalizable for c in spec.clusters):
-        raise ValueError("K is not diagonalizable over C")
+    mats, _ = _closure_samples(Kf, AlgebraView.of(g), flow=True, grid=grid_per_angle)
     comm = float(np.linalg.norm(Af @ Kf - Kf @ Af, 2))
     if comm > 1e-9 * max(1.0, np.linalg.norm(Af, 2)) * max(1.0, np.linalg.norm(Kf, 2)):
         raise ValueError(f"[A, K] residual {comm:.2e}; the parts must commute")
-    angles = sorted(
-        {round(c.value.imag, 12) for c in spec.clusters if c.value.imag > 1e-12}
-    )
-    if not angles:
-        return averaged_distance(d, [np.eye(g.dim)])
-    # The closure of {exp(t K)} is a circle when one period T makes every
-    # T * angle an integer multiple of 2 pi; sample it exactly then.
-    q = common_period(np.array(angles) / angles[0], 4096, 1e-9)
-    if q is not None:
-        T = 2 * math.pi * q / angles[0]
-        # exp(t K) = mu^(T K) with mu = e^(t/T) in [1, e), which stays
-        # finite for any period T
-        ts = np.linspace(0.0, 1.0, min(grid_per_angle * q, 4096), endpoint=False)
-        return averaged_distance(d, DilationAction(T * Kf).powers(np.exp(ts)))
-    # rationally independent angles: product torus grid over the spectral
-    # basis of a power of exp(K) whose phases are distinct and lie in
-    # (0, 1/2], so none is read as the order-2 phase pi or merged mod 2 pi
-    generic = lambda_pow(Kf, math.exp(0.5 / angles[-1]))
-    mats, _ = torus_grid_mats(
-        generalized_eigenspaces(generic), grid_per_angle, AlgebraView.of(g)
-    )
     return averaged_distance(d, mats)

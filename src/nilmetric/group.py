@@ -148,7 +148,10 @@ class _Law:
         """x * y row by row, for (m, n) float or Fraction batches."""
         n, out = X.shape[1], X + Y
         if self.into is not None:
-            X, Y = X @ self.into, Y @ self.into
+            if len(X) == 1:  # one two-row product, for the reason below
+                X, Y = np.split(np.vstack([X, Y]) @ self.into, 2)
+            else:
+                X, Y = X @ self.into, Y @ self.into
         # one buffer serves every block; a one-row block gets a zero row, as a
         # one-row matrix product takes BLAS's matrix-vector path, which rounds
         # differently, and the output would depend on where the blocks end

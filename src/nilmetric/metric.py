@@ -31,7 +31,6 @@ over batches of points.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -40,12 +39,7 @@ import numpy as np
 from .exact import to_float
 from .grading import WEIGHT_TOL, Grading, grading_from_derivation
 from .group import GroupOps, central_series_basis
-from .spectral import (
-    DilationAction,
-    SpectralData,
-    generalized_eigenspaces,
-    lambda_pow,
-)
+from .spectral import DilationAction, lambda_pow
 
 __all__ = [
     "NumericFailure",
@@ -68,7 +62,6 @@ __all__ = [
     "MaxOverMaps",
     "SupOverDilations",
     "averaged_distance",
-    "compact_closure_samples",
     "bilipschitz_constants",
     "verify_A_convexity",
     "verify_axioms",
@@ -1013,7 +1006,9 @@ class MetricFunction:
         return self.pair(np.zeros_like(X), X)
 
     def __call__(self, p, q) -> float:
-        return float(self.pair(np.atleast_2d(p), np.atleast_2d(q))[0])
+        # a batch of two equal rows: a one-row matrix product takes BLAS's
+        # matrix-vector path, which rounds differently from a batch's rows
+        return float(self.pair(np.vstack([p, p]), np.vstack([q, q]))[0])
 
 
 @dataclass(frozen=True)
@@ -1362,106 +1357,6 @@ def averaged_distance(d: MetricFunction, K_samples: list[np.ndarray]) -> MetricF
         _, keep = np.unique(np.round(canon, 12), axis=0, return_index=True)
         return HomogeneousDistance(d.view, d.A, PolyBall(rows[np.sort(keep)]))
     return MaxOverMaps(d, mats)
-
-
-def common_period(ratios, max_q: int, tol: float) -> int | None:
-    """Smallest q in 1..max_q with q * r within tol of an integer for every
-    r in ratios, or None when there is none."""
-    qr = np.arange(1, max_q + 1)[:, None] * np.asarray(ratios, dtype=float)[None, :]
-    hits = np.flatnonzero(np.all(np.abs(qr - np.round(qr)) <= tol, axis=1))
-    return int(hits[0]) + 1 if hits.size else None
-
-
-# the longest finite orbit compact_closure_samples returns, the tolerance
-# of its return K^q = I, and the torus grid points per phase otherwise
-_MAX_ORBIT = 10**4
-_RETURN_TOL = 1e-6
-_TORUS_GRID = 64
-
-
-def compact_closure_samples(K, *, view: AlgebraView | None = None):
-    """Finite sample of the closure of the group generated by K, whose
-    eigenvalues must have modulus 1 (within 1e-9).
-
-    The regime is read off the eigenvalue phases: when some q <= 10^4
-    turns every phase into a multiple of 2 pi (within 1e-6), and
-    ||K^q - I|| <= 1e-6 confirms it, the closure is the finite orbit
-    I, K, ..., K^(q-1); otherwise it is approximated by a product grid of
-    64 points per torus direction of the phases.  For a non-Abelian
-    algebra the grid elements are kept only if they are automorphisms
-    (warned otherwise).
-
-    Returns (mats, info) with info describing which regime was used.
-    """
-    Kf = to_float(K)
-    n = Kf.shape[0]
-    spec = generalized_eigenspaces(Kf)
-    for c in spec.clusters:
-        if abs(abs(c.value) - 1.0) > 1e-9:
-            raise ValueError(
-                f"eigenvalue {c.value:g} has modulus != 1; no compact closure"
-            )
-    turns = [np.angle(c.value) / (2 * np.pi) for c in spec.clusters]
-    q = common_period(turns, _MAX_ORBIT, _RETURN_TOL / (2 * np.pi))
-    if q is not None:
-        mats = [np.eye(n)]
-        for _ in range(q):
-            mats.append(mats[-1] @ Kf)
-        if np.linalg.norm(mats.pop() - np.eye(n), 2) <= _RETURN_TOL:
-            return mats, {"mode": "orbit", "order": q}
-    mats, pos_angles = torus_grid_mats(spec, _TORUS_GRID, view)
-    return mats, {"mode": "torus", "angles": pos_angles, "count": len(mats)}
-
-
-def torus_grid_mats(spec: SpectralData, grid_per_angle: int, view: AlgebraView | None):
-    """Product-grid sample of the torus spanned by the eigenvalue phases
-    of a diagonalizable unit-modulus matrix.  Grid elements that fail the
-    automorphism identity on a non-Abelian algebra are dropped with a
-    warning (the remainder still averages to a distance)."""
-    P = spec.basis_matrix()
-    Pinv = np.linalg.inv(P)
-    col_angles = np.angle(spec.column_values())
-    pos_angles = sorted({round(a, 12) for a in col_angles if a > 1e-12})
-    grids = []
-    for a in pos_angles:
-        if abs(a - np.pi) <= 1e-9:
-            grids.append(np.array([0.0, np.pi]))
-        else:
-            grids.append(np.linspace(0.0, 2 * np.pi, grid_per_angle, endpoint=False))
-    total = int(np.prod([len(gv) for gv in grids])) if grids else 1
-    if total > 10**5:
-        raise NumericFailure(
-            f"torus grid would need {total} elements; reduce grid_per_angle"
-        )
-    mats = []
-    dropped = 0
-    mesh = np.meshgrid(*grids, indexing="ij") if grids else []
-    combos = (
-        np.stack([mg.reshape(-1) for mg in mesh], axis=1)
-        if grids
-        else np.zeros((1, 0))
-    )
-    for phis in combos:
-        diag = np.ones(len(col_angles), dtype=complex)
-        for ai, a in enumerate(pos_angles):
-            sel_pos = np.abs(col_angles - a) <= 1e-9
-            sel_neg = np.abs(col_angles + a) <= 1e-9
-            diag[sel_pos] = np.exp(1j * phis[ai])
-            diag[sel_neg] = np.exp(-1j * phis[ai])
-        M = ((P * diag[None, :]) @ Pinv).real
-        if view is not None and not view.is_abelian:
-            lhs = np.einsum("ijk,ia,jb->abk", view.tensor, M, M)
-            rhs = np.einsum("abl,kl->abk", view.tensor, M)
-            if np.abs(lhs - rhs).max() > 1e-7:
-                dropped += 1
-                continue
-        mats.append(M)
-    if dropped:
-        warnings.warn(
-            f"{dropped} torus grid elements were not automorphisms and were dropped",
-            stacklevel=2,
-        )
-    return mats, pos_angles
 
 
 def _exponent_floor(ratio: float, lam: float, rtol: float = 1e-9) -> int:

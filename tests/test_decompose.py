@@ -7,6 +7,7 @@ import scipy.linalg
 from nilmetric.algebra import abelian, heisenberg
 from nilmetric.decompose import (
     add_compact_part,
+    compact_closure_samples,
     decompose_automorphism,
     realify,
 )
@@ -20,7 +21,6 @@ from nilmetric.metric import (
     averaged_distance,
     box_ball,
     build_distance,
-    compact_closure_samples,
 )
 from nilmetric.spectral import lambda_pow
 
@@ -325,3 +325,17 @@ def test_add_compact_part_rejects_bad_K():
         add_compact_part(
             d, R2, np.diag([1.0, 2.0]), np.array([[0.0, -1.0], [1.0, 0.0]])
         )
+
+
+def test_add_compact_part_samples_one_circle_of_the_flow():
+    # rates 2 and 3 close after one period 2 pi, which the flow winds q = 2
+    # times at the slowest rate: 64 grid points per winding, 128 maps, the
+    # identity among them
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    K = scipy.linalg.block_diag(2.0 * J, 3.0 * J)
+    A = 2.0 * np.eye(4)
+    R4 = abelian(4)
+    d2 = add_compact_part(build_distance(R4, A), R4, A, K, grid_per_angle=64)
+    assert isinstance(d2, MaxOverMaps) and len(d2.mats) == 128
+    step = scipy.linalg.expm((2 * math.pi / 128) * K)
+    assert min(np.abs(M - step).max() for M in d2.mats) <= 1e-12

@@ -10,8 +10,9 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from nilmetric.algebra import LieAlgebra, abelian, engel, heisenberg
+from nilmetric.algebra import LieAlgebra, abelian, check_automorphism, engel, heisenberg
 from nilmetric.catalog import CATALOG
+from nilmetric.decompose import compact_closure_samples
 from nilmetric.exact import as_exact
 from nilmetric.grading import classify_derivation
 from nilmetric.group import GroupOps, bch_product
@@ -44,7 +45,6 @@ from nilmetric.metric import (
     build_ball,
     build_distance,
     chi,
-    compact_closure_samples,
     default_theta,
     dilate_ball,
     find_chi_constant,
@@ -695,6 +695,56 @@ def test_compact_closure_irrational_rotation_is_torus_without_warning():
         mats, info = compact_closure_samples(_rot(1.0))
     assert info["mode"] == "torus" and info["count"] == 64
     assert len(mats) == 64
+
+
+def test_compact_closure_torus_on_a_non_abelian_algebra():
+    # a rotation by 1 rad of heisenberg's (x, y), the identity on z, is an
+    # automorphism; so is every map of its torus grid, and none is dropped
+    K = np.eye(3)
+    K[:2, :2] = _rot(1.0)
+    g = heisenberg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mats, info = compact_closure_samples(K, view=AlgebraView.of(g))
+    assert info["mode"] == "torus" and info["count"] == 64 and len(mats) == 64
+    assert all(check_automorphism(g, M, tol=1e-12) for M in mats)
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        np.array([[1.0, 1.0], [0.0, 1.0]]),
+        np.block([[_rot(1.0), np.eye(2)], [np.zeros((2, 2)), _rot(1.0)]]),
+    ],
+    ids=["shear", "rotation-jordan-block"],
+)
+def test_compact_closure_refuses_a_matrix_with_unbounded_powers(K):
+    # unit-modulus eigenvalues, but a Jordan block: K^k grows like k
+    with pytest.raises(ValueError, match="not diagonalizable"):
+        compact_closure_samples(K)
+
+
+def test_one_row_product_is_the_batch_row_in_a_changed_basis():
+    # the law maps rows into its central series basis; a one-row batch must
+    # round as that row does inside a batch
+    for seed in range(10):
+        g, _ = _changed_basis(engel(), np.eye(4), seed)
+        ops = GroupOps(g.tensor, 3)
+        rng = np.random.default_rng(seed)
+        X, Y = rng.normal(size=(60, 4)), rng.normal(size=(60, 4))
+        batch = ops.product(X, Y)
+        for i in range(60):
+            assert np.array_equal(ops.product(X[i], Y[i])[0], batch[i]), (seed, i)
+
+
+def test_single_pair_is_the_batch_row_in_a_changed_basis():
+    for seed in range(3):
+        g, A = _changed_basis(engel(), np.diag([1.0, 1.0, 2.0, 3.0]), seed)
+        d = build_distance(g, A)
+        rng = np.random.default_rng(seed)
+        P, Q = rng.normal(size=(100, 4)), rng.normal(size=(100, 4))
+        batch = d.pair(P, Q)
+        assert [d(P[i], Q[i]) for i in range(100)] == batch.tolist(), seed
 
 
 def test_max_over_maps_generic_path():
