@@ -218,15 +218,20 @@ def _closure_samples(K, view: AlgebraView | None, *, flow: bool, grid: int = _TO
     Pinv = np.linalg.inv(P)
     check = view is not None and not view.is_abelian
     mats, dropped = [], 0
-    for combo in combos:
-        M = ((P * np.exp(1j * (combo[dirs] * mult))[None, :]) @ Pinv).real
+    # the maps of a chunk of samples as one stack, checked against the
+    # automorphism identity [M x, M y] = M [x, y] together; a chunk holds
+    # about 2^20 floats per (sample, n, n, n) array
+    chunk = max(1, (1 << 20) // n**3)
+    for lo in range(0, combos.shape[0], chunk):
+        phases = np.exp(1j * (combos[lo : lo + chunk, dirs] * mult))
+        M = ((P[None, :, :] * phases[:, None, :]) @ Pinv).real
         if check:
-            lhs = np.einsum("ijk,ia,jb->abk", view.tensor, M, M)
-            rhs = np.einsum("abl,kl->abk", view.tensor, M)
-            if np.abs(lhs - rhs).max() > 1e-7:
-                dropped += 1
-                continue
-        mats.append(M)
+            lhs = np.einsum("ijk,sia,sjb->sabk", view.tensor, M, M, optimize=True)
+            rhs = (view.tensor.reshape(n * n, n) @ M.transpose(0, 2, 1)).reshape(lhs.shape)
+            bad = np.abs(lhs - rhs).max(axis=(1, 2, 3)) > 1e-7
+            dropped += int(bad.sum())
+            M = np.compress(~bad, M, axis=0)
+        mats.extend(M)
     if dropped:
         warnings.warn(
             f"{dropped} closure samples were not automorphisms and were dropped", stacklevel=3

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -620,9 +620,48 @@ def _ray_radii(ball, U: np.ndarray) -> np.ndarray:
     return r / (1.0 + ball.excess(r[:, None] * U))
 
 
+# rounds of draws before a rejection sampler gives up, and the rows drawn
+# in one round at most
+_REJECT_ROUNDS = 64
+_REJECT_ROUND_ROWS = 1 << 18
+
+
+def _kept_draws(draw, keep, count: int, first: int, what: str) -> np.ndarray:
+    """count rows of the draws draw(m) (m rows each) kept where keep(X)
+    holds, in rounds: `first` rows, then as many as the acceptance so far
+    says are missing, plus 64; NumericFailure after `_REJECT_ROUNDS`."""
+    parts, got, drawn = [], 0, 0
+    for _ in range(_REJECT_ROUNDS):
+        m = first if drawn == 0 else (count - got) * drawn // max(got, 1) + 64
+        m = min(m, _REJECT_ROUND_ROWS)
+        X = draw(m)
+        parts.append(np.compress(keep(X), X, axis=0))
+        got += parts[-1].shape[0]
+        drawn += m
+        if got >= count:
+            return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:count]
+    raise NumericFailure(f"{what} kept {got} of {drawn} draws in {_REJECT_ROUNDS} rounds")
+
+
 def _unit_ball_draws(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points uniform in the euclidean unit k-ball: a Gaussian
-    direction scaled by U^(1/k) (Muller, Comm. ACM 2(4), 1959)."""
+    """count points uniform in the euclidean unit k-ball, shape (count, k).
+
+    k = 1: one uniform draw on [-1, 1) per row.  k = 2: uniform draws from
+    the square [-1, 1)^2 kept where inside the disc (Devroye,
+    Non-Uniform Random Variate Generation, 1986, II.3); the first round
+    is sized by the acceptance pi/4 plus about five standard deviations
+    of the count it keeps, so it nearly always suffices.  k >= 3: a
+    Gaussian direction scaled by U^(1/k) (Muller, Comm. ACM 2(4), 1959)."""
+    if k == 1:
+        return rng.uniform(-1.0, 1.0, size=(count, 1))
+    if k == 2:
+        return _kept_draws(
+            lambda m: rng.uniform(-1.0, 1.0, size=(m, 2)),
+            lambda S: S[:, 0] * S[:, 0] + S[:, 1] * S[:, 1] <= 1.0,
+            count,
+            int(count * 4 / math.pi + 3 * math.sqrt(count)) + 16,
+            "disc",
+        )
     G = rng.standard_normal((count, k))
     r = rng.random(count) ** (1.0 / max(k, 1))
     # |g|^2 summed over the coordinates in order, a column at a time (a
@@ -644,12 +683,6 @@ def _spanning_rows(rows: np.ndarray) -> np.ndarray:
             f"polytope rows have rank {len(picked)} < {n}; the ball is unbounded"
         )
     return rows[picked]
-
-
-# rounds of parallelepiped draws before a PolyBall draw gives up, and the
-# rows drawn in one round at most
-_POLY_ROUNDS = 64
-_POLY_ROUND_ROWS = 1 << 18
 
 
 def _sampling_form(ball):
@@ -684,24 +717,14 @@ def _sampling_form(ball):
 def _sample_polytope(ball: PolyBall, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws from the parallelepiped of n independent rows, which
     contains the polytope, kept where inside (a box keeps every draw)."""
-    dim = ball.dim
     Binv = np.linalg.inv(_spanning_rows(ball.rows))
-    parts, got, drawn = [np.empty((0, dim))], 0, 0
-    for _ in range(_POLY_ROUNDS):
-        if got >= count:
-            break
-        # the acceptance so far sizes the next round
-        m = count if drawn == 0 else (count - got) * drawn // max(got, 1) + 64
-        m = min(m, _POLY_ROUND_ROWS)
-        X = rng.uniform(-1.0, 1.0, size=(m, dim)) @ Binv.T
-        parts.append(X[ball.contains(X)])
-        got += parts[-1].shape[0]
-        drawn += m
-    if got < count:
-        raise NumericFailure(
-            f"polytope kept {got} of {drawn} parallelepiped draws in {_POLY_ROUNDS} rounds"
-        )
-    return np.vstack(parts)[:count]
+    return _kept_draws(
+        lambda m: rng.uniform(-1.0, 1.0, size=(m, ball.dim)) @ Binv.T,
+        ball.contains,
+        count,
+        count,
+        "polytope",
+    )
 
 
 def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -1228,6 +1251,14 @@ class HomogeneousDistance(MetricFunction):
         where N itself exceeds the float range.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[0] == 1:
+            # a batch of two equal rows: a one-row matrix product takes
+            # BLAS's matrix-vector path, which rounds differently from a
+            # batch's rows; the record counts the one row
+            out, rec = self.gauge(np.vstack([X, X]))[:1], self._record
+            rows = ("closed_rows", "solved_rows", "row_evals", "bisections")
+            self._record = replace(rec, **{f: getattr(rec, f) // 2 for f in rows})
+            return out
         m = np.abs(X).max(axis=1)
         if not np.all(np.isfinite(m)):
             raise ValueError("gauge input has a non-finite entry")

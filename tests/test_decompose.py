@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from nilmetric.algebra import abelian, heisenberg
+from nilmetric.algebra import LieAlgebra, abelian, heisenberg
 from nilmetric.decompose import (
     add_compact_part,
     compact_closure_samples,
@@ -339,3 +341,34 @@ def test_add_compact_part_samples_one_circle_of_the_flow():
     assert isinstance(d2, MaxOverMaps) and len(d2.mats) == 128
     step = scipy.linalg.expm((2 * math.pi / 128) * K)
     assert min(np.abs(M - step).max() for M in d2.mats) <= 1e-12
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_closure_filter_keeps_the_per_sample_result(mixed):
+    # 5-dim Heisenberg, [x1, y1] = [x2, y2] = z, under K rotating two planes
+    # by 1 and sqrt(2): a torus grid of 4096 maps.  Rotating (x1, y1) and
+    # (x2, y2) keeps the bracket; rotating (x1, x2) and (y1, y2) keeps it
+    # only where both angles agree, the grid's 64 diagonal maps
+    g = LieAlgebra(5, {(0, 1): {4: 1}, (2, 3): {4: 1}}, name="h5")
+    planes = [(0, 2), (1, 3)] if mixed else [(0, 1), (2, 3)]
+    K = np.eye(5)
+    for (i, j), t in zip(planes, (1.0, math.sqrt(2.0))):
+        K[np.ix_([i, j], [i, j])] = _rot(t)
+    grid, _ = compact_closure_samples(K)
+    assert len(grid) == 4096
+    kept, dropped = [], 0
+    for M in grid:
+        lhs = np.einsum("ijk,ia,jb->abk", g.tensor, M, M)
+        rhs = np.einsum("abl,kl->abk", g.tensor, M)
+        if np.abs(lhs - rhs).max() > 1e-7:
+            dropped += 1
+        else:
+            kept.append(M)
+    assert dropped == (4032 if mixed else 0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mats, info = compact_closure_samples(K, view=AlgebraView.of(g))
+    assert info["count"] == len(kept)
+    assert np.array_equal(np.array(mats), np.array(kept))
+    counts = [int(re.match(r"(\d+) closure samples", str(w.message))[1]) for w in caught]
+    assert counts == ([dropped] if dropped else [])

@@ -484,6 +484,11 @@ def test_gauge_record_counts_closed_and_solved_rows():
     # one record per call, not accumulated
     d_box.gauge(X[:5, :2])
     assert d_box.gauge_record.solved_rows == 5
+    # a one-row call, evaluated as two equal rows, counts one row
+    d_box.gauge(X[0, :2])
+    one = d_box.gauge_record
+    assert (one.closed_rows, one.solved_rows) == (0, 1)
+    assert one.row_evals == one.bracket_passes + one.solve_passes
     with pytest.raises(AttributeError):
         d_box.gauge_record = rec
     with pytest.raises(AttributeError):
@@ -745,6 +750,11 @@ def test_single_pair_is_the_batch_row_in_a_changed_basis():
         P, Q = rng.normal(size=(100, 4)), rng.normal(size=(100, 4))
         batch = d.pair(P, Q)
         assert [d(P[i], Q[i]) for i in range(100)] == batch.tolist(), seed
+        # and a one-row gauge is the batch row too
+        X = rng.normal(size=(300, 4))
+        batch = d.gauge(X)
+        assert [d.gauge(X[i])[0] for i in range(300)] == batch.tolist(), seed
+        assert [d.point(X[i])[0] for i in range(300)] == batch.tolist(), seed
 
 
 def test_max_over_maps_generic_path():
@@ -1037,6 +1047,46 @@ def test_flat_sampler_matches_the_recursion(sampled_balls, name):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         ulp = np.finfo(float).eps * np.abs(Y).max(axis=1, keepdims=True)
         assert np.all(np.abs(X - Y) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_unit_ball_draws_are_uniform(k):
+    # for x uniform in the unit k-ball |x|^k is uniform on [0, 1], so
+    # |x|^2 = U^(2/k) has mean k/(k+2) and second moment k/(k+4), and half
+    # the draws lie inside radius 2^(-1/k)
+    m = 40000
+    X = _unit_ball_draws(k, m, np.random.default_rng(50 + k))
+    assert X.shape == (m, k)
+    sq = np.einsum("ij,ij->i", X, X)
+    assert sq.max() <= (1.0 if k <= 2 else 1.0 + 4 * np.finfo(float).eps)
+    var = k / (k + 4) - (k / (k + 2)) ** 2
+    assert abs(sq.mean() - k / (k + 2)) <= 5 * math.sqrt(var / m)
+    inner = np.mean(sq <= 2.0 ** (-2.0 / k))
+    assert abs(inner - 0.5) <= 5 * math.sqrt(0.25 / m)
+    if k == 2:
+        quadrants = np.bincount(2 * (X[:, 0] > 0) + (X[:, 1] > 0), minlength=4) / m
+        assert np.all(np.abs(quadrants - 0.25) <= 5 * math.sqrt(0.1875 / m))
+
+
+class _CornerRng:
+    """A generator whose first `corners` calls of `uniform` return 1
+    everywhere: square draws at the corner (1, 1), outside the disc."""
+
+    def __init__(self, corners):
+        self.corners, self.rng = corners, np.random.default_rng(52)
+
+    def uniform(self, low, high, size):
+        if self.corners > 0:
+            self.corners -= 1
+            return np.full(size, high)
+        return self.rng.uniform(low, high, size)
+
+
+def test_unit_disc_draws_run_more_rounds_and_fail_past_their_budget():
+    X = _unit_ball_draws(2, 1000, _CornerRng(3))
+    assert X.shape == (1000, 2) and np.all(np.einsum("ij,ij->i", X, X) <= 1.0)
+    with pytest.raises(NumericFailure, match=r"disc kept 0 of \d+ draws in 64 rounds"):
+        _unit_ball_draws(2, 10, _CornerRng(10**6))
 
 
 def test_sample_in_norm_ball_is_uniform():
