@@ -9,150 +9,105 @@ left-invariant distances exist, constructs their unit balls by a
 recursive layered construction, evaluates the distances numerically in
 batches, and splits dilating automorphisms into a compact part times a
 real-spectrum one-parameter part.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562), so a command
+line launch compiles only the modules its command uses.
 """
 
-from .algebra import (
-    CheckResult,
-    LieAlgebra,
-    abelian,
-    algebra_from_json,
-    algebra_to_json,
-    check_automorphism,
-    check_derivation,
-    engel,
-    heisenberg,
-    induced_on_quotient,
-    is_ideal,
-    quotient,
-    rototranslation,
-)
-from .catalog import CATALOG, catalog_entry, validate_catalog
-from .decompose import (
-    DilationDecomposition,
-    RealifyResult,
-    add_compact_part,
-    compact_closure_samples,
-    decompose_automorphism,
-    realify,
-)
-from .grading import (
-    ExistenceVerdict,
-    Grading,
-    Layer,
-    classify_automorphism,
-    classify_derivation,
-    grading_from_automorphism,
-    grading_from_derivation,
-    hausdorff_dimension,
-    split_derivation,
-)
-from .group import GroupOps, bch_coefficients, bch_product, dilate, inverse
-from .metric import (
-    AlgebraView,
-    BuildParams,
-    BuildRejected,
-    GaugeRecord,
-    HomogeneousDistance,
-    LayeredBall,
-    NormBall,
-    NumericFailure,
-    PolyBall,
-    averaged_distance,
-    ball_from_json,
-    ball_to_json,
-    bilipschitz_constants,
-    box_ball,
-    box_ball_certificate,
-    build_ball,
-    build_distance,
-    dilate_ball,
-    find_chi_constant,
-    sphere_polyline,
-    tuned_norm,
-    verify_A_convexity,
-    verify_axioms,
-)
-from .spectral import (
-    DilationAction,
-    EigenCluster,
-    SpectralData,
-    SpectralError,
-    generalized_eigenspaces,
-    lambda_pow,
-    lambda_pow_exact,
-    log_unipotent,
-    spectral_map,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "LieAlgebra",
-    "abelian",
-    "algebra_from_json",
-    "algebra_to_json",
-    "check_automorphism",
-    "check_derivation",
-    "engel",
-    "heisenberg",
-    "induced_on_quotient",
-    "is_ideal",
-    "quotient",
-    "rototranslation",
-    "CATALOG",
-    "catalog_entry",
-    "validate_catalog",
-    "DilationDecomposition",
-    "RealifyResult",
-    "add_compact_part",
-    "decompose_automorphism",
-    "realify",
-    "ExistenceVerdict",
-    "Grading",
-    "Layer",
-    "classify_automorphism",
-    "classify_derivation",
-    "grading_from_automorphism",
-    "grading_from_derivation",
-    "hausdorff_dimension",
-    "split_derivation",
-    "GroupOps",
-    "bch_coefficients",
-    "bch_product",
-    "dilate",
-    "inverse",
-    "AlgebraView",
-    "BuildParams",
-    "BuildRejected",
-    "DilationAction",
-    "GaugeRecord",
-    "HomogeneousDistance",
-    "LayeredBall",
-    "NormBall",
-    "NumericFailure",
-    "PolyBall",
-    "averaged_distance",
-    "ball_from_json",
-    "ball_to_json",
-    "bilipschitz_constants",
-    "box_ball",
-    "box_ball_certificate",
-    "build_ball",
-    "build_distance",
-    "compact_closure_samples",
-    "dilate_ball",
-    "find_chi_constant",
-    "sphere_polyline",
-    "tuned_norm",
-    "verify_A_convexity",
-    "verify_axioms",
-    "EigenCluster",
-    "SpectralData",
-    "SpectralError",
-    "generalized_eigenspaces",
-    "lambda_pow",
-    "lambda_pow_exact",
-    "log_unipotent",
-    "spectral_map",
-]
+# home module of each public name
+_EXPORTS = {
+    "algebra": (
+        "CheckResult",
+        "LieAlgebra",
+        "abelian",
+        "algebra_from_json",
+        "algebra_to_json",
+        "check_automorphism",
+        "check_derivation",
+        "engel",
+        "heisenberg",
+        "induced_on_quotient",
+        "is_ideal",
+        "quotient",
+        "rototranslation",
+    ),
+    "catalog": ("CATALOG", "catalog_entry", "validate_catalog"),
+    "decompose": (
+        "DilationDecomposition",
+        "RealifyResult",
+        "add_compact_part",
+        "compact_closure_samples",
+        "decompose_automorphism",
+        "realify",
+    ),
+    "grading": (
+        "ExistenceVerdict",
+        "Grading",
+        "Layer",
+        "classify_automorphism",
+        "classify_derivation",
+        "grading_from_automorphism",
+        "grading_from_derivation",
+        "hausdorff_dimension",
+        "split_derivation",
+    ),
+    "group": ("GroupOps", "bch_coefficients", "bch_product", "dilate", "inverse"),
+    "metric": (
+        "AlgebraView",
+        "BuildParams",
+        "BuildRejected",
+        "GaugeRecord",
+        "HomogeneousDistance",
+        "LayeredBall",
+        "NormBall",
+        "NumericFailure",
+        "PolyBall",
+        "averaged_distance",
+        "ball_from_json",
+        "ball_to_json",
+        "bilipschitz_constants",
+        "box_ball",
+        "box_ball_certificate",
+        "build_ball",
+        "build_distance",
+        "dilate_ball",
+        "find_chi_constant",
+        "sphere_polyline",
+        "tuned_norm",
+        "verify_A_convexity",
+        "verify_axioms",
+    ),
+    "spectral": (
+        "DilationAction",
+        "EigenCluster",
+        "SpectralData",
+        "SpectralError",
+        "generalized_eigenspaces",
+        "lambda_pow",
+        "lambda_pow_exact",
+        "log_unipotent",
+        "spectral_map",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # `nilmetric.metric` after a bare `import nilmetric`
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,14 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from itertools import chain
 
 import numpy as np
 
 from .algebra import algebra_from_json, matrix_from_json
 from .catalog import CATALOG, catalog_entry, validate_catalog
-from .decompose import decompose_automorphism
 from .exact import to_float
-from .grading import classify_automorphism, classify_derivation
 from .metric import (
     AlgebraView,
     BuildParams,
@@ -114,6 +114,8 @@ def _emit(obj, out: str | None) -> None:
 
 
 def cmd_classify(args) -> int:
+    from .grading import classify_automorphism, classify_derivation
+
     g, op, lam, _ = _resolve_problem(args)
     if op is None:
         raise UsageError("classify needs a derivation or automorphism")
@@ -151,24 +153,94 @@ def cmd_build(args) -> int:
     return EXIT_YES
 
 
+_NUMBER_OR_BLANK = b"0123456789.eE-+ \t\n\r"
+_TO_SPACES = bytes.maketrans(b"[]\t\n\r", b"     ")
+_SPACE, _COMMA, _MINUS, _DOT, _ZERO, _NINE = b" ,-.09"
+
+
+def _is_digit(x: np.ndarray) -> np.ndarray:
+    return (x >= _ZERO) & (x <= _NINE)
+
+
+def _parse_pairs(data: bytes, dim: int) -> np.ndarray | None:
+    """The (N, 2, dim) array of a pairs file with N >= 1 pairs of strict
+    JSON numbers, all finite, parsed without building Python lists; None
+    for any other file.
+
+    The file must be the skeleton [[...],[...]],... once its number
+    characters and blanks are deleted.  With brackets and blanks made
+    spaces, numpy reads the numbers between the commas and fails on an
+    empty slot or on two numbers in one; the numbers it would accept that
+    JSON does not (+1, .5, 1., 01) are refused first, and so is the
+    integer -0, which JSON reads as +0.
+    """
+    pair = b"[[" + b"," * (dim - 1) + b"],[" + b"," * (dim - 1) + b"]]"
+    skeleton = data.translate(None, _NUMBER_OR_BLANK)
+    n = len(skeleton) // (len(pair) + 1)
+    if n == 0 or skeleton != b"[" + (pair + b",") * (n - 1) + pair + b"]":
+        return None
+    text = data.translate(_TO_SPACES)
+    c = np.frombuffer(text, dtype=np.uint8)
+    num = (c != _SPACE) & (c != _COMMA)
+    starts = np.flatnonzero(num[1:] > num[:-1]) + 1  # none at 0, where a "[" or blank is
+    minus = c[starts] == _MINUS
+    first = starts + minus  # the first digit, after an optional minus
+    head, after = c[first], c[first + 1]  # in range, as a "]" follows every number
+    dots = np.flatnonzero(c == _DOT)
+    if not (
+        np.all(((head > _ZERO) & (head <= _NINE)) | ((head == _ZERO) & ~_is_digit(after)))
+        and not np.any(minus & (head == _ZERO) & ~num[first + 1])
+        and np.all(_is_digit(c[dots + 1]))
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():  # numpy < 2 warns and stops at a bad slot
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if values.size != n * 2 * dim or not np.all(np.isfinite(values)):
+        return None
+    return values.reshape(n, 2, dim)
+
+
+def _read_pairs(path: str, dim: int) -> np.ndarray:
+    """The (N, 2, dim) array of finite floats in a pairs file.  Files the
+    list-free parse declines go through `json`, so that each usage error
+    keeps its message."""
+    try:
+        with open(path, "rb") as fh:
+            PQ = _parse_pairs(fh.read(), dim)
+    except FileNotFoundError:
+        raise UsageError(f"input file not found: {path}")
+    if PQ is not None:
+        return PQ
+    want = f"a JSON array of [p, q] pairs of {dim}-vectors, shape (N, 2, {dim})"
+    non_finite = f"pairs file {path} has a non-finite entry; every coordinate must be a finite float"
+    try:
+        PQ = np.asarray(_load_json(path), dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise UsageError(non_finite)
+    except (TypeError, ValueError):
+        raise UsageError(f"pairs file must be {want}")
+    if PQ.shape == (0,):  # no pairs
+        PQ = PQ.reshape(0, 2, dim)
+    if PQ.shape[1:] != (2, dim):
+        raise UsageError(f"pairs file must be {want}; got shape {PQ.shape}")
+    if not np.all(np.isfinite(PQ)):
+        raise UsageError(non_finite)
+    return PQ
+
+
 def cmd_eval(args) -> int:
     g, op, lam, ball_tag = _resolve_problem(args)
     if op is None:
         raise UsageError("eval needs a derivation")
-    want = f"a JSON array of [p, q] pairs of {g.dim}-vectors, shape (N, 2, {g.dim})"
-    try:
-        PQ = np.asarray(_load_json(args.pairs), dtype=float)
-    except (TypeError, ValueError):
-        raise UsageError(f"pairs file must be {want}")
-    if PQ.shape == (0,):  # no pairs
-        PQ = PQ.reshape(0, 2, g.dim)
-    if PQ.shape[1:] != (2, g.dim):
-        raise UsageError(f"pairs file must be {want}; got shape {PQ.shape}")
+    PQ = _read_pairs(args.pairs, g.dim)
     d = _built_distance(args, g, op, ball_tag)
     vals = d.pair_chunked(PQ[:, 0], PQ[:, 1])
-    lines = ["index,distance"]
-    lines += [f"{i},{v:.12g}" for i, v in enumerate(vals)]
-    text = "\n".join(lines) + "\n"
+    rows = chain.from_iterable(zip(range(len(vals)), vals.tolist()))
+    text = "index,distance\n" + "%d,%.12g\n" * len(vals) % tuple(rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -220,6 +292,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decompose import decompose_automorphism
+
     g, op, lam, _ = _resolve_problem(args)
     if op is None:
         raise UsageError("decompose needs an automorphism")

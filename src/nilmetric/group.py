@@ -149,7 +149,8 @@ class _Law:
         n, out = X.shape[1], X + Y
         if self.into is not None:
             if len(X) == 1:  # one two-row product, for the reason below
-                X, Y = np.split(np.vstack([X, Y]) @ self.into, 2)
+                XY = np.vstack([X, Y]) @ self.into
+                X, Y = XY[:1], XY[1:]
             else:
                 X, Y = X @ self.into, Y @ self.into
         # one buffer serves every block; a one-row block gets a zero row, as a

@@ -33,13 +33,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exact import to_float
-from .grading import WEIGHT_TOL, Grading, grading_from_derivation
 from .group import GroupOps, central_series_basis
 from .spectral import DilationAction, lambda_pow
+
+if TYPE_CHECKING:  # the builders import grading when they run
+    from .grading import Grading
 
 __all__ = [
     "NumericFailure",
@@ -475,6 +478,8 @@ def tuned_norm(dim: int, A, theta: float, *, grading: Grading | None = None) -> 
         raise ValueError("theta must lie in (0, 1)")
     Af = to_float(A)
     if grading is None:
+        from .grading import grading_from_derivation
+
         grading = grading_from_derivation(None, Af)
     spec = grading.spec
     n = dim
@@ -858,9 +863,19 @@ def _build_layered(
 
 
 def _build_recursive(
-    view: AlgebraView, A: np.ndarray, grading: Grading, params: BuildParams, rng, action=None
+    view: AlgebraView,
+    A: np.ndarray,
+    params: BuildParams,
+    rng,
+    grading: Grading | None = None,
+    action=None,
 ):
-    """One level's ball; action is A's DilationAction if the caller has it."""
+    """One level's ball; grading and action are A's grading and
+    DilationAction if the caller has them."""
+    from .grading import WEIGHT_TOL, grading_from_derivation
+
+    if grading is None:
+        grading = grading_from_derivation(None, A)
     weights = grading.weights
     if view.is_abelian:
         return NormBall(tuned_norm(view.dim, A, default_theta(weights), grading=grading).gram)
@@ -915,7 +930,7 @@ def _build_two_layer(view, action: DilationAction, grading: Grading, params, rng
     # the quotient by W is Abelian; its norm ball is scaled so the lifted
     # ball sits inside the tuned unit ball of the complement
     comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, W)
-    inner = _build_recursive(qview, A_hat, grading_from_derivation(None, A_hat), params, rng)
+    inner = _build_recursive(qview, A_hat, params, rng)
     evals = np.linalg.eigvalsh((inner.gram + inner.gram.T) / 2.0)
     if evals[0] < 1.0:
         inner = NormBall(inner.gram / evals[0] * (1.0 + 1e-12))
@@ -955,7 +970,7 @@ def _build_general(view, action: DilationAction, grading: Grading, params, rng):
 
     comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, top)
     qaction = DilationAction(A_hat)
-    inner = _build_recursive(qview, A_hat, grading_from_derivation(None, A_hat), params, rng, qaction)
+    inner = _build_recursive(qview, A_hat, params, rng, action=qaction)
 
     # scale the quotient ball so the sum of layer norms of lifted points
     # stays below 1 (the contraction estimate needs it)
@@ -986,7 +1001,7 @@ def build_ball(g, A, *, params: BuildParams | None = None):
         raise BuildRejected(verdict)
     view = AlgebraView.of(g)
     rng = np.random.default_rng(params.seed)
-    return _build_recursive(view, to_float(A), verdict.grading, params, rng)
+    return _build_recursive(view, to_float(A), params, rng, verdict.grading)
 
 
 def build_distance(g, A, *, params: BuildParams | None = None) -> "HomogeneousDistance":
@@ -1029,9 +1044,7 @@ class MetricFunction:
         return self.pair(np.zeros_like(X), X)
 
     def __call__(self, p, q) -> float:
-        # a batch of two equal rows: a one-row matrix product takes BLAS's
-        # matrix-vector path, which rounds differently from a batch's rows
-        return float(self.pair(np.vstack([p, p]), np.vstack([q, q]))[0])
+        return float(self.pair(p, q)[0])
 
 
 @dataclass(frozen=True)
@@ -1316,9 +1329,13 @@ class MaxOverMaps(MetricFunction):
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(P)
         Q = np.atleast_2d(Q)
-        stackP = np.vstack([P @ M.T for M in self.mats])
-        stackQ = np.vstack([Q @ M.T for M in self.mats])
-        vals = self.base.pair(stackP, stackQ).reshape(len(self.mats), P.shape[0])
+        m, n = P.shape
+        # P and Q in one product per map, so that one pair is two rows: a
+        # one-row matrix product takes BLAS's matrix-vector path, which
+        # rounds differently from a batch's rows
+        mapped = np.stack([np.vstack([P, Q]) @ M.T for M in self.mats])
+        stackP, stackQ = mapped[:, :m].reshape(-1, n), mapped[:, m:].reshape(-1, n)
+        vals = self.base.pair(stackP, stackQ).reshape(len(self.mats), m)
         return vals.max(axis=0)
 
 

@@ -1,14 +1,18 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nilmetric
+from nilmetric import cli
 from nilmetric.algebra import heisenberg
 from nilmetric.cli import main
 from nilmetric.metric import AlgebraView, BuildParams, DilationAction, ball_to_json, build_ball
@@ -288,12 +292,122 @@ def test_verify_reports_convexity_witnesses(tmp_path, capsys):
         assert not thin.contains(z, slack=1e-9)[0]
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # an eval launch loads neither scipy nor the classifier and realify modules
+    ball = build_ball(heisenberg(), np.diag([1.0, 1.0, 2.0]))
+    bf, pf = tmp_path / "ball.json", tmp_path / "pairs.json"
+    bf.write_text(json.dumps({"ball": ball_to_json(ball)}))
+    pf.write_text(json.dumps([[[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]]))
     src = str(Path(nilmetric.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["eval", "--catalog", "heisenberg", "--derivation", "standard", "--ball-file", str(bf), "--pairs", str(pf)]
     code = (
-        "import sys, nilmetric.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "import sys\n"
+        "def unwanted():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                  or m in ('nilmetric.decompose', 'nilmetric.grading'))\n"
+        "import nilmetric\n"
+        "print(sorted(m for m in sys.modules if m.startswith('nilmetric.')), file=sys.stderr)\n"
+        "import nilmetric.cli\n"
+        "print(unwanted(), file=sys.stderr)\n"
+        f"rc = nilmetric.cli.main({argv!r})\n"
+        "print(rc, unwanted(), file=sys.stderr)\n"
+        "print(nilmetric.decompose.__name__, file=sys.stderr)\n"  # a submodule is still an attribute
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stderr.splitlines() == ["[]", "[]", "0 []", "nilmetric.decompose"]
+    assert out.stdout.startswith("index,distance\n0,")
+
+
+def test_package_names_resolve_on_first_access():
+    star = {}
+    exec("from nilmetric import *", star)
+    assert sorted(k for k in star if not k.startswith("__")) == sorted(nilmetric.__all__)
+    for name in nilmetric.__all__:
+        home = importlib.import_module(f"nilmetric.{nilmetric._HOME[name]}")
+        assert star[name] is getattr(home, name), name
+        assert getattr(star[name], "__module__", home.__name__) == home.__name__, name
+    assert set(nilmetric.__all__) <= set(dir(nilmetric))
+    with pytest.raises(AttributeError):
+        nilmetric.no_such_name
+    with pytest.raises(ImportError):
+        exec("from nilmetric import no_such_name", {})
+    # the benchmark's tracer and workloads import submodules this way
+    from nilmetric import decompose, grading, group, metric
+
+    for name, mod in zip(("decompose", "grading", "group", "metric"), (decompose, grading, group, metric)):
+        assert isinstance(mod, types.ModuleType) and mod is sys.modules[f"nilmetric.{name}"]
+        assert getattr(nilmetric, name) is mod
+
+
+@pytest.fixture(scope="module")
+def heisenberg_ball_file(tmp_path_factory):
+    ball = build_ball(heisenberg(), np.diag([1.0, 1.0, 2.0]))
+    path = tmp_path_factory.mktemp("ball") / "ball.json"
+    path.write_text(json.dumps({"ball": ball_to_json(ball)}))
+    return path
+
+
+_REPRS = json.dumps(np.random.default_rng(17).normal(size=(5, 2, 3)).tolist())
+_PAIR = "[[0.5, -1.25, 2.0], [1.0, 0.0, -3.0]]"
+
+
+@pytest.mark.parametrize(
+    "text, rc, fast",
+    [
+        ("[[[+1,0,0],[1,0,0]]]", 2, False),
+        ("[[[.5,0,0],[1,0,0]]]", 2, False),
+        ("[[[-.5,0,0],[1,0,0]]]", 2, False),
+        ("[[[1.,0,0],[1,0,0]]]", 2, False),
+        ("[[[1.e5,0,0],[1,0,0]]]", 2, False),
+        ("[[[01,0,0],[1,0,0]]]", 2, False),
+        ("[[[-01,0,0],[1,0,0]]]", 2, False),
+        ("[[[1 2,0,0],[1,0,0]]]", 2, False),  # two numbers in one slot
+        ("[[[1 2,,0],[1,0,0]]]", 2, False),  # ... and as many numbers as slots
+        ("[[[1,,3],[1,0,0]]]", 2, False),
+        (f"[{_PAIR},]", 2, False),
+        ("[[[1,0,0,],[1,0,0]]]", 2, False),
+        ("[[[NaN,0,0],[1,0,0]]]", 2, False),
+        ("[[[1,0,0],[-Infinity,0,0]]]", 2, False),
+        ("[[[1e400,0,0],[1,0,0]]]", 2, False),
+        (f"[[[1{'0' * 400},0,0],[1,0,0]]]", 2, False),
+        ("[[1,0,0],[1,0,0]]", 2, False),  # wrong nesting depth
+        ("[[[1,0],[1,0]]]", 2, False),  # wrong dimension
+        ("[[[1,0,0],[1,0,0],[0,0,1]]]", 2, False),  # a third point
+        ("[[[1,2,3],[4,5,6]],[[7,8,9,1],[2,3]]]", 2, False),  # ragged, with as many numbers as slots
+        ("[]", 0, False),
+        (f"\n[\n\t{_PAIR},\r\n\t[[1, 2, 3],\t[4,5,6]] ]\n", 0, True),
+        ("[[[1E5,1e-05,-2.5E-3],[1e+2,0,-0.0]]]", 0, True),
+        ("[[[-0,0,1],[1,0,0]]]", 0, False),  # JSON reads the integer -0 as +0
+        (_REPRS, 0, True),  # 17-digit float reprs
+    ],
+)
+def test_pairs_file_parse_matches_json(tmp_path, capsys, monkeypatch, heisenberg_ball_file, text, rc, fast):
+    pf = tmp_path / "pairs.json"
+    pf.write_text(text)
+    parsed = cli._parse_pairs(pf.read_bytes(), 3)
+    assert (parsed is not None) == fast
+    if fast:
+        want = np.asarray(json.loads(text), dtype=float)
+        assert parsed.shape == want.shape and np.array_equal(parsed.view(np.uint64), want.view(np.uint64))
+    args = ("eval", "--catalog", "heisenberg", "--derivation", "standard",
+            "--ball-file", str(heisenberg_ball_file), "--pairs", str(pf))
+    got = run(capsys, *args)
+    # the reference: every file through json
+    monkeypatch.setattr(cli, "_parse_pairs", lambda data, dim: None)
+    assert got == run(capsys, *args)
+    assert got[0] == rc
+
+
+@pytest.mark.parametrize("entry", ["1e400", "-1" + "0" * 400])
+def test_eval_refuses_non_finite_pairs(tmp_path, capsys, heisenberg_ball_file, entry):
+    pf = tmp_path / "pairs.json"
+    pf.write_text(f"[[[0, 0, 0], [{entry}, 0, 0]]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(
+            capsys, "eval", "--catalog", "heisenberg", "--derivation", "standard",
+            "--ball-file", str(heisenberg_ball_file), "--pairs", str(pf),
+        )
+    assert rc == 2 and out == ""
+    assert err == f"error: pairs file {pf} has a non-finite entry; every coordinate must be a finite float\n"

@@ -750,6 +750,10 @@ def test_single_pair_is_the_batch_row_in_a_changed_basis():
         P, Q = rng.normal(size=(100, 4)), rng.normal(size=(100, 4))
         batch = d.pair(P, Q)
         assert [d(P[i], Q[i]) for i in range(100)] == batch.tolist(), seed
+        # and so is a one-row pair of a composite distance
+        for f in (MaxOverMaps(d, [lambda_pow(A, 2.0)]), SupOverDilations(d, A, 2.0, grid=8)):
+            batch = f.pair(P, Q)
+            assert [f(P[i], Q[i]) for i in range(100)] == batch.tolist(), (seed, type(f).__name__)
         # and a one-row gauge is the batch row too
         X = rng.normal(size=(300, 4))
         batch = d.gauge(X)
