@@ -76,7 +76,6 @@ _EXPORTS = {
         "build_ball",
         "build_distance",
         "dilate_ball",
-        "find_chi_constant",
         "sphere_polyline",
         "tuned_norm",
         "verify_A_convexity",

@@ -10,29 +10,29 @@ grading layers:
     the layers are orthogonal and every dilation lam^A with lam <= 1 is
     a contraction by at least lam (an epsilon-scaled eigen-filtration
     basis damps the nilpotent part of A as much as needed);
-  * when the top layer weight is at most 2, the diagonalizable core W of
-    the weight-2 layer (which contains [g, g]) is capped by a constant C
-    and the complement carries the Abelian norm ball of the quotient;
-  * otherwise the top layer is capped and the construction recurses on
-    the quotient by it, with the cap calibrated from sampled bounds on
-    the top-layer part of the group product.
+  * otherwise the top layer is capped, or only its diagonalizable core
+    (which contains [g, g]) when the top weight is at most 2, and the
+    construction recurses on the quotient by the capped span.  The
+    quotient ball is scaled so that the layer norms of its lifted points
+    sum to below 1, and the cap is estimated from sampled top-layer parts
+    of the group product.
 
 Every built ball is validated by randomized dilation-convexity checks;
-caps are doubled until validation passes.  The gauge
-N(x) = inf{mu > 0 : mu^(-A) x in B} is the maximum of per-level terms,
-since membership along mu is monotone for a dilation-convex ball and a
-layered ball is the intersection of its cap and its quotient ball.  A
-level on which A acts conformally has a closed form, (|R x| / c)^(1/t),
-evaluated in log space; any other level is solved by a safeguarded
-Illinois iteration along log mu.  All evaluation paths are vectorized
-over batches of points.
+the cap is doubled from its sampled estimate until validation passes.
+The gauge N(x) = inf{mu > 0 : mu^(-A) x in B} is the maximum of
+per-level terms, since membership along mu is monotone for a
+dilation-convex ball and a layered ball is the intersection of its cap
+and its quotient ball.  A level on which A acts conformally has a closed
+form, (|R x| / c)^(1/t), evaluated in log space; any other level is
+solved by a safeguarded Illinois iteration along log mu.  All evaluation
+paths are vectorized over batches of points.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,7 +57,6 @@ __all__ = [
     "AlgebraView",
     "DilationAction",
     "tuned_norm",
-    "find_chi_constant",
     "build_ball",
     "build_distance",
     "HomogeneousDistance",
@@ -423,18 +422,11 @@ def _gram_orthonormalize(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
 def _gram_restriction(T: np.ndarray, basis: np.ndarray, gram: np.ndarray):
     """T on the invariant span of the orthonormal columns of basis, in
     coordinates orthonormal for the gram product (B^T gram T B for the
-    gram-orthonormalized basis B); T is one (n, n) matrix or a (k, n, n)
-    stack, which shares one Cholesky factor."""
+    gram-orthonormalized basis B)."""
     S = basis.T @ T @ basis  # valid for orthonormal (euclidean) basis columns
     G = basis.T @ gram @ basis
     L = np.linalg.cholesky((G + G.T) / 2.0)
     return L.T @ S @ np.linalg.inv(L).T
-
-
-def _restricted_opnorm(T: np.ndarray, basis: np.ndarray, gram: np.ndarray):
-    """Operator norm of T restricted to an invariant column span, in the
-    gram inner product; a float, or a length-k array for a stack."""
-    return np.linalg.norm(_gram_restriction(T, basis, gram), 2, axis=(-2, -1))
 
 
 @dataclass
@@ -446,11 +438,19 @@ class TunedNorm:
 
 
 def default_theta(weights, *, general_top: bool = False) -> float:
-    """theta = min(1/2, gap/2) where gap = min{t - 1 : t > 1 a weight};
-    capped by t_max - 2 in the general layered construction."""
+    """theta = min(1/2, gap/2) where gap = min{t - 1 : t > 1 a weight}.
+
+    With general_top (a non-Abelian level of the layered construction),
+    theta is also capped by t_max - 2 when the top weight t_max exceeds 2,
+    so the capped top layer still contracts faster than mu^2; at
+    t_max = 2 (within WEIGHT_TOL) only the diagonalizable core is capped,
+    which contracts by exactly mu^2, and theta is left alone.
+    """
+    from .grading import WEIGHT_TOL
+
     gaps = [t - 1 for t in weights if t > 1 + 1e-12]
     theta = min(0.5, min(gaps) / 2) if gaps else 0.5
-    if general_top and weights:
+    if general_top and weights and max(weights) > 2 + WEIGHT_TOL:
         theta = min(theta, max(weights) - 2)
     return theta
 
@@ -533,48 +533,6 @@ def tuned_norm(dim: int, A, theta: float, *, grading: Grading | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# The chi constant of the capped-layer estimate
-# ---------------------------------------------------------------------------
-
-
-def chi(C: float, t: np.ndarray, n: int) -> np.ndarray:
-    """t^2 max(|log t|, |log t|^n) + (1-t)^2 max(|log(1-t)|, |log(1-t)|^n)
-    - C t (1-t), with the limit value 0 at the endpoints."""
-    t = np.asarray(t, dtype=float)
-
-    def part(u):
-        out = np.zeros_like(u)
-        pos = (u > 0) & (u < 1)
-        lu = np.abs(np.log(u[pos]))
-        out[pos] = u[pos] ** 2 * np.maximum(lu, lu**n)
-        return out
-
-    return part(t) + part(1.0 - t) - C * t * (1.0 - t)
-
-
-# doublings of the chi constant before find_chi_constant gives up
-_CHI_DOUBLINGS = 60
-
-
-def find_chi_constant(n: int) -> float:
-    """Smallest power-of-two C (from 1) with chi_C <= 0 on a grid of 10^4
-    points of [0, 1].
-
-    A margin of 1e-9 is enforced in units of t(1-t), which vanishes at the
-    endpoints exactly as chi itself does.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = np.linspace(0.0, 1.0, 10**4)
-    C = 1.0
-    for _ in range(_CHI_DOUBLINGS + 1):
-        if np.all(chi(C, t, n) <= -1e-9 * t * (1.0 - t)):
-            return C
-        C *= 2.0
-    raise NumericFailure(f"no chi constant found below 2^{_CHI_DOUBLINGS}")
-
-
-# ---------------------------------------------------------------------------
 # Ball construction
 # ---------------------------------------------------------------------------
 
@@ -588,19 +546,6 @@ class BuildParams:
 
 # cap doublings before a layered build gives up
 _CAP_DOUBLINGS = 20
-
-
-def _bilinear_norm_bound(tensor: np.ndarray, gram: np.ndarray) -> float:
-    """C with ||[x, y]|| <= C ||x|| ||y|| in the gram norm (safe over-bound)."""
-    L = np.linalg.cholesky((gram + gram.T) / 2.0)
-    Linv = np.linalg.inv(L)
-    # coordinates u = L^T x make the gram norm euclidean
-    Ct = np.einsum("ai,bj,ijk,kl->abl", Linv, Linv, tensor, L)
-    n = Ct.shape[2]
-    total = 0.0
-    for k in range(n):
-        total += np.linalg.norm(Ct[:, :, k], 2) ** 2
-    return float(np.sqrt(total))
 
 
 def _ray_radii(ball, U: np.ndarray) -> np.ndarray:
@@ -818,7 +763,6 @@ def _build_layered(
     inner_ball,
     proj: np.ndarray,
     comp_onb: np.ndarray,
-    cap_floor: float,
     params: BuildParams,
     rng: np.random.Generator,
 ):
@@ -847,7 +791,7 @@ def _build_layered(
     top0 = np.linalg.norm(Z0 @ top_map.T, axis=1)
     ratio_pair = float(np.max(top0[good] / (nx[good] * ny[good]))) if np.any(good) else 0.0
 
-    C = max(cap_floor, 1.5 * ratio_lam / 2.0, 1.5 * ratio_pair / 2.0, 1e-12)
+    C = max(1.5 * ratio_lam / 2.0, 1.5 * ratio_pair / 2.0, 1e-12)
     ball = LayeredBall(top_map, C, proj, inner_ball)
     for _ in range(_CAP_DOUBLINGS + 1):
         report = verify_A_convexity(
@@ -871,16 +815,49 @@ def _build_recursive(
     action=None,
 ):
     """One level's ball; grading and action are A's grading and
-    DilationAction if the caller has them."""
+    DilationAction if the caller has them.
+
+    An Abelian level gets the tuned norm ball.  Any other level caps its
+    top layer, or only the layer's diagonalizable core (which contains
+    [g, g]) when the top weight is at most 2, and recurses on the
+    quotient by the capped span.
+    """
     from .grading import WEIGHT_TOL, grading_from_derivation
 
     if grading is None:
         grading = grading_from_derivation(None, A)
-    weights = grading.weights
     if view.is_abelian:
-        return NormBall(tuned_norm(view.dim, A, default_theta(weights), grading=grading).gram)
-    build = _build_two_layer if max(weights) <= 2 + WEIGHT_TOL else _build_general
-    return build(view, action or DilationAction(A), grading, params, rng)
+        return NormBall(tuned_norm(view.dim, A, default_theta(grading.weights), grading=grading).gram)
+    theta = default_theta(grading.weights, general_top=True)
+    gram = tuned_norm(view.dim, A, theta, grading=grading).gram
+    top = grading.layers[-1]
+    capped = top.core if top.weight <= 2 + WEIGHT_TOL else top.basis
+    if capped.shape[1] == 0:
+        raise NumericFailure(
+            "non-Abelian algebra with top weight <= 2 has no diagonalizable "
+            "weight-2 core; grading data is inconsistent"
+        )
+
+    comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, capped)
+    qaction = DilationAction(A_hat)
+    inner = _build_recursive(qview, A_hat, params, rng, action=qaction)
+
+    # scale the quotient ball so the sum of layer norms of lifted points
+    # stays below 1 (the contraction estimate needs it); a weight-2 part
+    # outside the capped core lies in the quotient and is counted
+    XI = sample_in_ball(inner, qview.dim, params.cap_samples, rng)
+    Xbar = XI @ comp_gonb.T
+    total = np.zeros(XI.shape[0])
+    for layer in grading.layers:
+        Lb = _gram_orthonormalize(layer.basis, gram)
+        total += np.linalg.norm(Xbar @ (Lb.T @ gram).T, axis=1)
+    S = float(total.max()) * 1.05
+    if S > 1.0:
+        inner = dilate_ball(inner, qaction, 1.0 / S)
+
+    return _build_layered(
+        view, action or DilationAction(A), gram, capped, inner, proj, comp_gonb, params, rng
+    )
 
 
 def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.ndarray):
@@ -900,91 +877,6 @@ def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.nda
     except ValueError:
         raise NumericFailure("quotient by the capped subspace is not nilpotent") from None
     return comp_gonb, proj, A_hat, AlgebraView(comp_gonb.shape[1], qtensor, series[0], series)
-
-
-def _build_two_layer(view, action: DilationAction, grading: Grading, params, rng):
-    """Top weight <= 2: cap the diagonalizable weight-2 core W (it contains
-    [g, g]) and put the Abelian tuned norm ball on the quotient."""
-    n, A = view.dim, action.A
-    gram = tuned_norm(n, A, default_theta(grading.weights), grading=grading).gram
-
-    # W = real form of the eigenvector (not just generalized) spaces at Re a = 2
-    v2 = grading.layer_at(2.0)
-    if v2 is None or v2.core.shape[1] == 0:
-        raise NumericFailure(
-            "non-Abelian algebra with top weight <= 2 has no diagonalizable "
-            "weight-2 core; grading data is inconsistent"
-        )
-    W = v2.core
-
-    # [g, g] must land in W
-    bracket_cols = view.tensor.reshape(n * n, n).T
-    Pw = W @ W.T
-    resid = np.linalg.norm(bracket_cols - Pw @ bracket_cols, 2)
-    if resid > 1e-7 * max(1.0, np.linalg.norm(bracket_cols, 2)):
-        raise NumericFailure(
-            f"derived algebra is not contained in the weight-2 core "
-            f"(residual {resid:.2e})"
-        )
-
-    # the quotient by W is Abelian; its norm ball is scaled so the lifted
-    # ball sits inside the tuned unit ball of the complement
-    comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, W)
-    inner = _build_recursive(qview, A_hat, params, rng)
-    evals = np.linalg.eigvalsh((inner.gram + inner.gram.T) / 2.0)
-    if evals[0] < 1.0:
-        inner = NormBall(inner.gram / evals[0] * (1.0 + 1e-12))
-
-    # analytic cap floor from the chi function and the bracket bound
-    nu = _restricted_opnorm(action.N, v2.basis, gram)
-    m2 = _nilpotent_index_on(action.N, v2.basis)
-    kappa = sum(nu**j / math.factorial(j) for j in range(1, max(m2, 1)))
-    Cb = _bilinear_norm_bound(view.tensor, gram)
-    if kappa > 0:
-        floor = (kappa * find_chi_constant(max(m2 - 1, 1)) + Cb / 2.0) / 2.0
-    else:
-        floor = Cb / 4.0
-    return _build_layered(
-        view, action, gram, W, inner, proj, comp_gonb, floor, params, rng
-    )
-
-
-def _nilpotent_index_on(N, basis) -> int:
-    R = basis.T @ N @ basis
-    P = np.eye(R.shape[0])
-    for k in range(1, R.shape[0] + 2):
-        P = P @ R
-        if np.linalg.norm(P, 2) <= 1e-10 * max(1.0, np.linalg.norm(R, 2)) ** k:
-            return k
-    return R.shape[0] + 1
-
-
-def _build_general(view, action: DilationAction, grading: Grading, params, rng):
-    """Top weight > 2: cap the top layer and recurse on the quotient, whose
-    DilationAction also rescales the quotient ball."""
-    n, A = view.dim, action.A
-    theta = default_theta(grading.weights, general_top=True)
-    gram = tuned_norm(n, A, theta, grading=grading).gram
-    *lower, top_layer = grading.layers
-    top = top_layer.basis
-
-    comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, top)
-    qaction = DilationAction(A_hat)
-    inner = _build_recursive(qview, A_hat, params, rng, action=qaction)
-
-    # scale the quotient ball so the sum of layer norms of lifted points
-    # stays below 1 (the contraction estimate needs it)
-    XI = sample_in_ball(inner, qview.dim, params.cap_samples, rng)
-    Xbar = XI @ comp_gonb.T
-    total = np.zeros(XI.shape[0])
-    for layer in lower:
-        Lb = _gram_orthonormalize(layer.basis, gram)
-        total += np.linalg.norm(Xbar @ (Lb.T @ gram).T, axis=1)
-    S = float(total.max()) * 1.05
-    if S > 1.0:
-        inner = dilate_ball(inner, qaction, 1.0 / S)
-
-    return _build_layered(view, action, gram, top, inner, proj, comp_gonb, 0.0, params, rng)
 
 
 def build_ball(g, A, *, params: BuildParams | None = None):
@@ -1264,14 +1156,12 @@ class HomogeneousDistance(MetricFunction):
         where N itself exceeds the float range.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 1:
-            # a batch of two equal rows: a one-row matrix product takes
-            # BLAS's matrix-vector path, which rounds differently from a
-            # batch's rows; the record counts the one row
-            out, rec = self.gauge(np.vstack([X, X]))[:1], self._record
-            rows = ("closed_rows", "solved_rows", "row_evals", "bisections")
-            self._record = replace(rec, **{f: getattr(rec, f) // 2 for f in rows})
-            return out
+        # one row is evaluated as two equal rows: a one-row matrix product
+        # takes BLAS's matrix-vector path, which rounds differently from a
+        # batch's rows; the record counts the one row
+        copies = 2 if X.shape[0] == 1 else 1
+        if copies == 2:
+            X = np.vstack([X, X])
         m = np.abs(X).max(axis=1)
         if not np.all(np.isfinite(m)):
             raise ValueError("gauge input has a non-finite entry")
@@ -1296,12 +1186,14 @@ class HomogeneousDistance(MetricFunction):
             solved |= np.isfinite(term)
             counts += c
         nsolved = int(solved.sum())
-        self._record = GaugeRecord(X.shape[0] - nsolved, nsolved, **counts)
+        for f in ("row_evals", "bisections"):
+            counts[f] //= copies
+        self._record = GaugeRecord((X.shape[0] - nsolved) // copies, nsolved // copies, **counts)
         if np.any(logN > _LOG_MAX):
             raise OverflowError("gauge value exceeds the float range")
         out = np.zeros(X.shape[0])
         out[live] = np.exp(logN)
-        return out
+        return out[:1] if copies == 2 else out
 
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=float))
