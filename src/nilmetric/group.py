@@ -257,11 +257,19 @@ class GroupOps:
             g._group_ops = cls(g.tensor, _step_of(g))
         return g._group_ops
 
-    def product(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X, Y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (X, Y))
+    def _compiled(self) -> _Law:
         if self._law is None:
             self._law = _float_law(self.tensor, self.step, self._series)
-        return self._law.apply(*np.broadcast_arrays(X, Y))
+        return self._law
+
+    @property
+    def block(self) -> int:
+        """Rows of one block of a product (see `_Law`); compiles the law."""
+        return self._compiled().block
+
+    def product(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        X, Y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (X, Y))
+        return self._compiled().apply(*np.broadcast_arrays(X, Y))
 
 
 def central_series_basis(tensor: np.ndarray, tol: float = 1e-10):

@@ -103,7 +103,10 @@ class BuildRejected(ValueError):
 # a NormBall base) and at most one polytope, drawn from the
 # parallelepiped of n independent rows.  A LayeredBall keeps that flat
 # form (`_sampling_form`: the level dims and caps, the base and one
-# composed map), made on its first draw, so a draw is one product.
+# composed map), made on its first draw, so a draw is one product.  It
+# keeps a flat form for membership too (`_membership_form`: each level's
+# map composed down the chain of projections), made on its first test,
+# so a test is one product and a norm per level.
 # ---------------------------------------------------------------------------
 
 
@@ -240,7 +243,8 @@ class LayeredBall:
     """Cap on a top subspace plus a recursive ball on the quotient.
 
     Membership: ||top_map @ x||_2 <= cap  and  inner.contains(proj @ x);
-    excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1).
+    excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1),
+    evaluated in one pass over every level (`_membership_form`).
     A built ball's top_map rows are the capped subspace's coordinates in
     the tuned inner product and proj maps to tuned-orthonormal quotient
     coordinates; [top_map; proj] is square and invertible.  The ball
@@ -257,21 +261,61 @@ class LayeredBall:
         self.inner = inner
         self.dim = self.top_map.shape[1]
         self._flat = None  # its `_sampling_form`, made on the first draw
+        self._form = None  # its `_membership_form`, made on the first test
 
     def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        X = np.atleast_2d(X)
-        top_ok = (
-            np.linalg.norm(X @ self.top_map.T, axis=1) <= self.cap * (1.0 + slack)
-        )
-        return top_ok & self.inner.contains(X @ self.proj.T, slack)
+        norms, caps, base, Yb = self._levels(X)
+        ok = (norms <= (caps * (1.0 + slack))[:, None]).all(axis=0)
+        return ok if base is None else ok & base.contains(Yb, slack)
 
     def excess(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        top = np.linalg.norm(X @ self.top_map.T, axis=1) / self.cap - 1.0
-        return np.maximum(top, self.inner.excess(X @ self.proj.T))
+        norms, caps, base, Yb = self._levels(X)
+        top = np.max(norms / caps[:, None], axis=0) - 1.0
+        return top if base is None else np.maximum(top, base.excess(Yb))
+
+    def _levels(self, X: np.ndarray):
+        """(norms, caps, base, Yb): the norm of each level's coordinates of
+        every row of X, shape (levels, rows), the levels' caps, and the
+        PolyBall base with its coordinates of X (None, None: no base)."""
+        W, starts, caps, base = _membership_form(self)
+        YT = W @ np.atleast_2d(X).T
+        sq = YT[: starts[-1]] * YT[: starts[-1]]
+        norms = np.empty((caps.size, YT.shape[1]))
+        for i in range(caps.size):  # a loop over the levels beats one reduceat
+            np.add.reduce(sq[starts[i] : starts[i + 1]], axis=0, out=norms[i])
+        np.sqrt(norms, out=norms)
+        return norms, caps, base, None if base is None else YT[starts[-1] :].T
 
     def with_cap(self, cap: float) -> "LayeredBall":
         return LayeredBall(self.top_map, cap, self.proj, self.inner)
+
+
+def _membership_form(ball: LayeredBall):
+    """(W, starts, caps, base) with ball = {x : |W_i x|_2 <= caps[i] for
+    every level i, and W_b x in base}, W_i the rows starts[i]:starts[i + 1]
+    of W and W_b its rows from starts[-1] (none when base is None).
+
+    The rows are top_map, then each inner level's rows times proj, down
+    the levels: the recursion's maps composed once, kept on the ball from
+    its first test.  A NormBall base {y^T L L^T y <= 1} is one more level,
+    L^T of cap 1; a PolyBall base keeps its own test on the composed
+    projection.  Nothing is inverted, so [top_map; proj] may be any
+    shape."""
+    if ball._form is None:
+        inner = ball.inner
+        if isinstance(inner, LayeredBall):
+            W, starts, caps, base = _membership_form(inner)
+        elif isinstance(inner, NormBall):
+            L = np.linalg.cholesky((inner.gram + inner.gram.T) / 2.0)
+            W, starts, caps, base = L.T, np.array([0, inner.dim]), np.ones(1), None
+        elif isinstance(inner, PolyBall):
+            W, starts, caps, base = np.eye(inner.dim), np.zeros(1, dtype=int), np.empty(0), inner
+        else:
+            raise TypeError(f"cannot test membership in a ball of type {type(inner).__name__}")
+        W = np.vstack([ball.top_map, W @ ball.proj])
+        starts = np.concatenate([[0], ball.top_map.shape[0] + starts])
+        ball._form = W, starts, np.concatenate([[ball.cap], caps]), base
+    return ball._form
 
 
 def box_ball(n: int = 2) -> PolyBall:
@@ -727,7 +771,13 @@ def verify_A_convexity(
     margin: float = 1e-9,
 ) -> ConvexityReport:
     """Sampled check of closure under (lam^A x) * ((1-lam)^A y).  A is
-    the derivation or a DilationAction of it (a build passes its own)."""
+    the derivation or a DilationAction of it (a build passes its own).
+
+    Every x, y and lam is drawn first; the dilations, products and
+    membership tests then run over blocks of the group law's block size
+    (`GroupOps.block`), so no temporary spans the whole sample.  The
+    worst excess and the witnesses (the first five failing x, y, lam)
+    come from the failing rows."""
     rng = np.random.default_rng(seed)
     action = A if isinstance(A, DilationAction) else DilationAction(to_float(A))
     ops = view.ops()
@@ -735,13 +785,18 @@ def verify_A_convexity(
     Y = sample_in_ball(ball, view.dim, samples, rng)
     lam = rng.uniform(0.0, 1.0, size=samples)
     lam = np.clip(lam, 1e-12, 1 - 1e-12)
-    Z = ops.product(action.apply(lam, X), action.apply(1.0 - lam, Y))
-    inside = ball.contains(Z, slack=margin)
-    bad = ~inside
-    excess = ball.excess(Z[bad]) if np.any(bad) else np.array([])
-    worst = float(excess.max()) if excess.size else 0.0
-    witnesses = np.hstack([X[bad][:5], Y[bad][:5], lam[bad][:5, None]]) if np.any(bad) else np.empty((0, 2 * view.dim + 1))
-    return ConvexityReport(samples, int(bad.sum()), worst, witnesses)
+    bad, worst, block = [], -np.inf, ops.block
+    for lo in range(0, samples, block):
+        rows = slice(lo, lo + block)
+        Z = ops.product(action.apply(lam[rows], X[rows]), action.apply(1.0 - lam[rows], Y[rows]))
+        out = np.flatnonzero(~ball.contains(Z, slack=margin))
+        if out.size:
+            worst = max(worst, float(ball.excess(Z[out]).max()))
+            bad.append(lo + out)
+    bad = np.concatenate(bad) if bad else np.zeros(0, dtype=int)
+    first = bad[:5]
+    witnesses = np.hstack([X[first], Y[first], lam[first, None]])
+    return ConvexityReport(samples, bad.size, worst if bad.size else 0.0, witnesses)
 
 
 def _gram_complement(gram: np.ndarray, sub_onb: np.ndarray) -> np.ndarray:
@@ -776,20 +831,25 @@ def _build_layered(
     m = params.cap_samples
     XI = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
     ETA = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
-    Xbar = XI @ comp_onb.T
-    Ybar = ETA @ comp_onb.T
     lam = np.clip(rng.uniform(0, 1, m), 1e-6, 1 - 1e-6)
-    # top-layer part of the product of dilated complement representatives
-    Z = ops.product(action.apply(lam, Xbar), action.apply(1 - lam, Ybar))
-    top_vals = np.linalg.norm(Z @ top_map.T, axis=1)
-    ratio_lam = float(np.max(top_vals / (lam * (1 - lam))))
-    # plain bilinear ratio over pairs, for the non-dilated estimate
-    Z0 = ops.product(Xbar, Ybar) - Xbar - Ybar
-    nx = np.linalg.norm(XI, axis=1)
-    ny = np.linalg.norm(ETA, axis=1)
-    good = (nx > 1e-9) & (ny > 1e-9)
-    top0 = np.linalg.norm(Z0 @ top_map.T, axis=1)
-    ratio_pair = float(np.max(top0[good] / (nx[good] * ny[good]))) if np.any(good) else 0.0
+    # running maxima over blocks of the group law's block size
+    ratio_lam = ratio_pair = 0.0
+    block = ops.block
+    for lo in range(0, m, block):
+        rows = slice(lo, lo + block)
+        Xbar, Ybar, lb = XI[rows] @ comp_onb.T, ETA[rows] @ comp_onb.T, lam[rows]
+        # top-layer part of the product of dilated complement representatives
+        Z = ops.product(action.apply(lb, Xbar), action.apply(1 - lb, Ybar))
+        top_vals = np.linalg.norm(Z @ top_map.T, axis=1)
+        ratio_lam = max(ratio_lam, float(np.max(top_vals / (lb * (1 - lb)))))
+        # plain bilinear ratio over pairs, for the non-dilated estimate
+        Z0 = ops.product(Xbar, Ybar) - Xbar - Ybar
+        nx = np.linalg.norm(XI[rows], axis=1)
+        ny = np.linalg.norm(ETA[rows], axis=1)
+        good = (nx > 1e-9) & (ny > 1e-9)
+        top0 = np.linalg.norm(Z0 @ top_map.T, axis=1)
+        if np.any(good):
+            ratio_pair = max(ratio_pair, float(np.max(top0[good] / (nx[good] * ny[good]))))
 
     C = max(1.5 * ratio_lam / 2.0, 1.5 * ratio_pair / 2.0, 1e-12)
     ball = LayeredBall(top_map, C, proj, inner_ball)
@@ -811,21 +871,19 @@ def _build_recursive(
     A: np.ndarray,
     params: BuildParams,
     rng,
-    grading: Grading | None = None,
-    action=None,
+    grading: Grading,
+    action: DilationAction,
 ):
     """One level's ball; grading and action are A's grading and
-    DilationAction if the caller has them.
+    DilationAction, made from one eigen-decomposition of A.
 
     An Abelian level gets the tuned norm ball.  Any other level caps its
     top layer, or only the layer's diagonalizable core (which contains
     [g, g]) when the top weight is at most 2, and recurses on the
-    quotient by the capped span.
+    quotient by the capped span, graded once here.
     """
     from .grading import WEIGHT_TOL, grading_from_derivation
 
-    if grading is None:
-        grading = grading_from_derivation(None, A)
     if view.is_abelian:
         return NormBall(tuned_norm(view.dim, A, default_theta(grading.weights), grading=grading).gram)
     theta = default_theta(grading.weights, general_top=True)
@@ -839,8 +897,9 @@ def _build_recursive(
         )
 
     comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, capped)
-    qaction = DilationAction(A_hat)
-    inner = _build_recursive(qview, A_hat, params, rng, action=qaction)
+    qgrading = grading_from_derivation(None, A_hat)
+    qaction = DilationAction(A_hat, spec=qgrading.spec)
+    inner = _build_recursive(qview, A_hat, params, rng, qgrading, qaction)
 
     # scale the quotient ball so the sum of layer norms of lifted points
     # stays below 1 (the contraction estimate needs it); a weight-2 part
@@ -855,9 +914,7 @@ def _build_recursive(
     if S > 1.0:
         inner = dilate_ball(inner, qaction, 1.0 / S)
 
-    return _build_layered(
-        view, action or DilationAction(A), gram, capped, inner, proj, comp_gonb, params, rng
-    )
+    return _build_layered(view, action, gram, capped, inner, proj, comp_gonb, params, rng)
 
 
 def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.ndarray):
@@ -893,7 +950,8 @@ def build_ball(g, A, *, params: BuildParams | None = None):
         raise BuildRejected(verdict)
     view = AlgebraView.of(g)
     rng = np.random.default_rng(params.seed)
-    return _build_recursive(view, to_float(A), params, rng, verdict.grading)
+    Af, spec = to_float(A), verdict.grading.spec
+    return _build_recursive(view, Af, params, rng, verdict.grading, DilationAction(Af, spec=spec))
 
 
 def build_distance(g, A, *, params: BuildParams | None = None) -> "HomogeneousDistance":

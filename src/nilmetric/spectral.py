@@ -249,13 +249,15 @@ class DilationAction:
     Splits A into its commuting semisimple and nilpotent parts once, so a
     batched application costs a few matrix products instead of one matrix
     exponential per sample; the eigenbasis behind the split has passed
-    `_validate`, which bounds its conditioning.
+    `_validate`, which bounds its conditioning.  spec is
+    `generalized_eigenspaces(A)` if the caller has it.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, spec: SpectralData | None = None):
         self.A = to_float(A)
         n = self.A.shape[0]
-        spec = generalized_eigenspaces(self.A)
+        if spec is None:
+            spec = generalized_eigenspaces(self.A)
         # the nilpotent part of A
         self.N = N = self.A - spectral_map(self.A, lambda a: a, spec)
         scale = max(1.0, float(np.linalg.norm(self.A, 2)))

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -579,6 +580,84 @@ def test_corrupted_cap_flags_triangle_violations():
     assert cv.violations > 0
 
 
+@pytest.fixture(scope="module")
+def benchmark_balls():
+    """The four benchmark balls, built with default BuildParams."""
+    return {
+        name: (AlgebraView.of(g), A, build_ball(g, A)) for name, (g, A) in FROZEN_CASES.items()
+    }
+
+
+def _whole_batch_convexity(ball, view, A, samples, seed, margin=1e-9):
+    """verify_A_convexity over the whole sample at once, one product and
+    one membership test: the reference for the blocked check."""
+    rng = np.random.default_rng(seed)
+    action = DilationAction(A)
+    X = sample_in_ball(ball, view.dim, samples, rng)
+    Y = sample_in_ball(ball, view.dim, samples, rng)
+    lam = np.clip(rng.uniform(0.0, 1.0, size=samples), 1e-12, 1 - 1e-12)
+    Z = view.ops().product(action.apply(lam, X), action.apply(1.0 - lam, Y))
+    bad = ~ball.contains(Z, slack=margin)
+    worst = float(ball.excess(Z[bad]).max()) if bad.any() else 0.0
+    return int(bad.sum()), worst, np.hstack([X[bad][:5], Y[bad][:5], lam[bad][:5, None]])
+
+
+CONVEXITY_CASES = [
+    *FROZEN_CASES,
+    *(f"{name} at half cap" for name in FROZEN_CASES),
+    "heisenberg at cap / 1e6",
+    "box, spiral",
+    "box, shear",
+]
+
+
+@pytest.mark.parametrize("case", CONVEXITY_CASES)
+def test_blocked_convexity_matches_the_whole_batch(benchmark_balls, case):
+    # the same draws, checked block by block: the same violations and
+    # witnesses for sample counts around the law's block size
+    if case.startswith("box"):
+        view, ball = R2V, box_ball(2)
+        A = SPIRAL if case == "box, spiral" else np.array([[1.0, 1.0], [0.0, 1.0]])
+    else:
+        name = case.split(" at ")[0]
+        view, A, ball = benchmark_balls[name]
+        if case.endswith("half cap"):
+            ball = ball.with_cap(ball.cap / 2)
+        elif case.endswith("1e6"):
+            ball = ball.with_cap(ball.cap / 1e6)
+    block = view.ops().block
+    total = 0
+    for samples in (1, block - 1, block, block + 1, 20000):
+        rep = verify_A_convexity(ball, view, A, samples=samples, seed=samples)
+        violations, worst, witnesses = _whole_batch_convexity(ball, view, A, samples, samples)
+        assert rep.samples == samples and rep.violations == violations, samples
+        assert np.array_equal(rep.witnesses, witnesses), samples
+        assert abs(rep.worst_excess - worst) <= 1e-12 * abs(worst), samples
+        total += violations
+    if case in FROZEN_CASES or case == "box, spiral":
+        assert total == 0
+    elif not case.endswith("half cap"):
+        assert total > 0
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "filiform-7"])
+def test_convexity_validation_holds_no_full_size_temporaries(benchmark_balls, name):
+    # the draws x, y and lam are held whole, the dilations, products and
+    # membership tests only a block at a time
+    view, A, ball = benchmark_balls[name]
+    action = DilationAction(A)
+    verify_A_convexity(ball, view, action, samples=10, seed=1)  # compiles the law
+    samples = 20000
+    tracemalloc.start()
+    try:
+        rep = verify_A_convexity(ball, view, action, samples=samples, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak <= 3 * samples * view.dim * 8 + samples * 8 + 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # box certificate
 # ---------------------------------------------------------------------------
@@ -1060,6 +1139,68 @@ def test_flat_sampler_matches_the_recursion(sampled_balls, name):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         ulp = np.finfo(float).eps * np.abs(Y).max(axis=1, keepdims=True)
         assert np.all(np.abs(X - Y) <= 4 * ulp)
+
+
+def _recursive_excess(ball, X):
+    """LayeredBall.excess as a recursion over the levels, one product per
+    level: the reference for the flat membership form."""
+    if isinstance(ball, LayeredBall):
+        top = np.linalg.norm(X @ ball.top_map.T, axis=1) / ball.cap - 1.0
+        return np.maximum(top, _recursive_excess(ball.inner, X @ ball.proj.T))
+    return ball.excess(X)
+
+
+def _recursive_contains(ball, X, slack):
+    if isinstance(ball, LayeredBall):
+        top_ok = np.linalg.norm(X @ ball.top_map.T, axis=1) <= ball.cap * (1.0 + slack)
+        return top_ok & _recursive_contains(ball.inner, X @ ball.proj.T, slack)
+    return ball.contains(X, slack)
+
+
+def _membership_ball(name, sampled_balls, benchmark_balls):
+    if name.startswith("built "):
+        return benchmark_balls[name.removeprefix("built ")][2]
+    if name == "engel with a halved cap":
+        return sampled_balls["engel"].with_cap(sampled_balls["engel"].cap / 2)
+    rng = np.random.default_rng(46)
+    if name == "layered over a polygon":
+        hexagon = np.array([[1.0, 0.0], [0.5, 0.9], [-0.4, 1.1]])
+        inner = LayeredBall([[0.2, 1.0]], 0.8, [[1.0, 0.3]], PolyBall([[1.3]]))
+        two = LayeredBall(rng.normal(size=(1, 3)), 0.6, rng.normal(size=(2, 3)), PolyBall(hexagon))
+        return LayeredBall(rng.normal(size=(1, 4)), 1.7, np.c_[np.eye(3), rng.normal(size=3)], two), inner
+    if name == "layered with a tall [top_map; proj]":
+        inner = NormBall(np.array([[2.0, 0.3], [0.3, 0.5]]))
+        return LayeredBall(rng.normal(size=(2, 3)), 0.9, rng.normal(size=(2, 3)), inner)
+    return sampled_balls[name]
+
+
+MEMBERSHIP_BALLS = [
+    *(f"built {name}" for name in FROZEN_CASES),
+    *SAMPLED,
+    "engel with a halved cap",
+    "layered over a polygon",
+    "layered with a tall [top_map; proj]",
+]
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_BALLS)
+def test_flat_membership_matches_the_recursion(sampled_balls, benchmark_balls, name):
+    # one product with the composed maps in place of one per level: the
+    # same excess to rounding, and the same membership off the boundary
+    balls = _membership_ball(name, sampled_balls, benchmark_balls)
+    for ball in balls if isinstance(balls, tuple) else (balls,):
+        rng = np.random.default_rng(47)
+        U = rng.normal(size=(3000, ball.dim))
+        edge = U / (1.0 + _recursive_excess(ball, U))[:, None]
+        scales = np.array([0.0, 0.3, 0.9, 1 - 1e-9, 1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-9, 1.1, 4.0])
+        X = np.vstack([U, *(s * edge for s in scales)])
+        for _ in range(2):  # the second test reuses the form the first one made
+            want = _recursive_excess(ball, X)
+            assert np.all(np.abs(ball.excess(X) - want) <= 1e-13)
+            for slack in (0.0, 1e-9):
+                far = np.abs(want - slack) > 1e-12
+                got = ball.contains(X, slack)
+                assert np.array_equal(got[far], _recursive_contains(ball, X, slack)[far])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
