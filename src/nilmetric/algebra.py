@@ -1,8 +1,10 @@
 """Lie algebras given by rational structure constants.
 
 Structure constants are stored sparsely as c[(i, j)][k] with i < j and
-Fraction coefficients, so antisymmetry is built into the storage and the
-Jacobi identity is verified exactly at construction time.  Brackets,
+Fraction coefficients, so antisymmetry is built into the storage.  The
+Jacobi identity (checked at construction time) and the lower central
+series run on one integer tensor, the constants times their common
+denominator, so they stay exact without per-entry Fractions.  Brackets,
 derivation/automorphism checks, ideals and quotients all run in exact
 rational arithmetic whenever the inputs are rational; float inputs fall
 back to residual tests with an explicit tolerance.
@@ -10,8 +12,10 @@ back to residual tests with an explicit tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .exact import (
     exact_zeros,
     frac,
     format_frac,
+    int_pivot_columns,
     is_exact,
     to_float,
 )
@@ -44,6 +49,7 @@ __all__ = [
 ]
 
 FLOAT_LEIBNIZ_TOL = 1e-9
+_INT64_MAX = 2**63 - 1
 
 
 class JacobiError(ValueError):
@@ -91,8 +97,8 @@ class LieAlgebra:
         self.brackets = {key: t for key, t in self.brackets.items() if t}
         self._tensor_exact = self._build_tensor()
         self._tensor_float = to_float(self._tensor_exact)
+        self._scale, self._tensor_int = self._build_int_tensor()
         self._check_jacobi()
-        self._step: int | None | str = "unset"
         # made on first use by nilmetric.group and nilmetric.metric
         self._group_ops = self._exact_group_law = self._view = None
 
@@ -105,22 +111,29 @@ class LieAlgebra:
                 C[j, i, k] = -c
         return C
 
+    def _build_int_tensor(self) -> tuple[int, np.ndarray]:
+        """(D, I) with I = D C integral, D the common denominator: int64
+        when every entry fits, Python ints otherwise."""
+        D = math.lcm(1, *(c.denominator for t in self.brackets.values() for c in t.values()))
+        I = np.zeros((self.dim,) * 3, dtype=object)
+        for (i, j), terms in self.brackets.items():
+            for k, c in terms.items():
+                I[i, j, k] = c.numerator * (D // c.denominator)
+                I[j, i, k] = -I[i, j, k]
+        return D, I.astype(np.int64) if np.abs(I).max(initial=0) <= _INT64_MAX else I
+
     def _check_jacobi(self) -> None:
-        n = self.dim
-        e = [self.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    s = (
-                        self.bracket(e[i], self.bracket(e[j], e[k]))
-                        + self.bracket(e[j], self.bracket(e[k], e[i]))
-                        + self.bracket(e[k], self.bracket(e[i], e[j]))
-                    )
-                    if any(x != 0 for x in s):
-                        raise JacobiError(
-                            f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1}): "
-                            f"cyclic sum = {[format_frac(x) for x in s]}"
-                        )
+        # T[a, b, c] = D^2 [e_c, [e_a, e_b]], so the cyclic sum on (i, j, k)
+        # is T[i, j, k] + T[j, k, i] + T[k, i, j]
+        T = _int_tensordot(self._tensor_int, self._tensor_int, ([2], [1]), terms=3)
+        J = T + T.transpose(2, 0, 1, 3) + T.transpose(1, 2, 0, 3)
+        for i, j, k in np.argwhere((J != 0).any(axis=3)):  # in the order i, j, k
+            if i < j < k:
+                s = [Fraction(int(x), self._scale**2) for x in J[i, j, k]]
+                raise JacobiError(
+                    f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1}): "
+                    f"cyclic sum = {[format_frac(x) for x in s]}"
+                )
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = exact_zeros(self.dim)
@@ -150,39 +163,30 @@ class LieAlgebra:
         xf, yf = to_float(x), to_float(y)
         return np.einsum("ijk,i,j->k", self._tensor_float, xf, yf)
 
-    def lower_central_series(self) -> list[np.ndarray]:
-        """Exact bases (columns) of g^(2) = [g,g], g^(3) = [g, g^(2)], ..."""
-        n = self.dim
+    @cached_property
+    def _series(self) -> list[np.ndarray]:
+        n, D = self.dim, self._scale
         series = []
-        current = np.hstack([self.basis_vector(i).reshape(n, 1) for i in range(n)])
+        W, E = np.eye(n, dtype=np.int64), 1  # the current columns, times E
         while True:
-            cols = []
-            for i in range(n):
-                ei = self.basis_vector(i)
-                for j in range(current.shape[1]):
-                    cols.append(self.bracket(ei, current[:, j]).reshape(n, 1))
-            if not cols:
-                nxt = exact_zeros((n, 0))
-            else:
-                stacked = np.hstack(cols)
-                nxt = _exact_column_space(stacked)
-            series.append(nxt)
-            if nxt.shape[1] == 0:
+            # all [e_i, w_j] times D E, as the columns (i, j) in that order
+            B = _int_tensordot(self._tensor_int, W, ([1], [0])).transpose(1, 0, 2)
+            B = B.reshape(n, n * W.shape[1])
+            B = B[:, (B != 0).any(axis=0)]  # a zero column is never a pivot
+            W, E = B[:, int_pivot_columns(B)], D * E
+            series.append(W.astype(object) * Fraction(1, E))
+            if W.shape[1] == 0 or len(series) > 1 and W.shape[1] == series[-2].shape[1]:
                 return series
-            if series[-1].shape[1] == (series[-2].shape[1] if len(series) > 1 else -1):
-                return series
-            current = nxt
+
+    def lower_central_series(self) -> list[np.ndarray]:
+        """Exact bases (columns) of g^(2) = [g,g], g^(3) = [g, g^(2)], ...
+
+        Walked once per algebra; each call gets its own copies."""
+        return [B.copy() for B in self._series]
 
     def nilpotency_step(self) -> int | None:
         """Smallest s with g^(s+1) = 0, or None when not nilpotent."""
-        if self._step != "unset":
-            return self._step
-        series = self.lower_central_series()
-        if series[-1].shape[1] != 0:
-            self._step = None
-        else:
-            self._step = len(series)
-        return self._step
+        return len(self._series) if self._series[-1].shape[1] == 0 else None
 
     @property
     def is_nilpotent(self) -> bool:
@@ -194,6 +198,15 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
+
+
+def _int_tensordot(a: np.ndarray, b: np.ndarray, axes, terms: int = 1) -> np.ndarray:
+    """np.tensordot of two integer arrays, exact: in int64 when a sum of
+    `terms` results cannot reach 2**63 in size, in Python ints otherwise."""
+    length = math.prod(a.shape[x] for x in axes[0])
+    bound = terms * length * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return np.tensordot(a.astype(dtype, copy=False), b.astype(dtype, copy=False), axes)
 
 
 def _exact_column_space(M: np.ndarray) -> np.ndarray:

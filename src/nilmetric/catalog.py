@@ -1,7 +1,8 @@
 """Built-in example catalog: algebras with named derivations and
 automorphisms, plus expected classifier results used as a regression
-gate.  Every entry re-validates its algebra (Jacobi) and its operators
-(Leibniz / morphism identity, where expected) when loaded.
+gate.  Each algebra passes the Jacobi check once, when it is built;
+loading an entry re-validates its operators (Leibniz / morphism
+identity, where expected).
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from itertools import chain
 
 import numpy as np
@@ -154,59 +153,43 @@ def cmd_build(args) -> int:
 
 
 _NUMBER_OR_BLANK = b"0123456789.eE-+ \t\n\r"
-_TO_SPACES = bytes.maketrans(b"[]\t\n\r", b"     ")
-_SPACE, _COMMA, _MINUS, _DOT, _ZERO, _NINE = b" ,-.09"
 
 
-def _is_digit(x: np.ndarray) -> np.ndarray:
-    return (x >= _ZERO) & (x <= _NINE)
+def _float_of_int(text: str) -> float:
+    if text == "-0":  # JSON reads the integer -0 as +0, float() as -0.0
+        raise ValueError(text)
+    return float(text)
 
 
 def _parse_pairs(data: bytes, dim: int) -> np.ndarray | None:
     """The (N, 2, dim) array of a pairs file with N >= 1 pairs of strict
-    JSON numbers, all finite, parsed without building Python lists; None
-    for any other file.
+    JSON numbers, all finite, parsed as one flat list; None for any other
+    file.
 
     The file must be the skeleton [[...],[...]],... once its number
-    characters and blanks are deleted.  With brackets and blanks made
-    spaces, numpy reads the numbers between the commas and fails on an
-    empty slot or on two numbers in one; the numbers it would accept that
-    JSON does not (+1, .5, 1., 01) are refused first, and so is the
-    integer -0, which JSON reads as +0.
+    characters and blanks are deleted.  With its brackets deleted, it is a
+    list of 2 N dim comma-separated slots, which `json` reads only if each
+    slot holds one number of JSON's grammar.  The integer -0 is left to the
+    `json` path, which reads it as +0.
     """
     pair = b"[[" + b"," * (dim - 1) + b"],[" + b"," * (dim - 1) + b"]]"
     skeleton = data.translate(None, _NUMBER_OR_BLANK)
     n = len(skeleton) // (len(pair) + 1)
     if n == 0 or skeleton != b"[" + (pair + b",") * (n - 1) + pair + b"]":
         return None
-    text = data.translate(_TO_SPACES)
-    c = np.frombuffer(text, dtype=np.uint8)
-    num = (c != _SPACE) & (c != _COMMA)
-    starts = np.flatnonzero(num[1:] > num[:-1]) + 1  # none at 0, where a "[" or blank is
-    minus = c[starts] == _MINUS
-    first = starts + minus  # the first digit, after an optional minus
-    head, after = c[first], c[first + 1]  # in range, as a "]" follows every number
-    dots = np.flatnonzero(c == _DOT)
-    if not (
-        np.all(((head > _ZERO) & (head <= _NINE)) | ((head == _ZERO) & ~_is_digit(after)))
-        and not np.any(minus & (head == _ZERO) & ~num[first + 1])
-        and np.all(_is_digit(c[dots + 1]))
-    ):
-        return None
     try:
-        with warnings.catch_warnings():  # numpy < 2 warns and stops at a bad slot
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text, sep=",")
-    except (ValueError, DeprecationWarning):
+        flat = json.loads(b"[" + data.translate(None, b"[]") + b"]", parse_int=_float_of_int)
+    except ValueError:
         return None
-    if values.size != n * 2 * dim or not np.all(np.isfinite(values)):
+    values = np.array(flat, dtype=float)
+    if not np.all(np.isfinite(values)):
         return None
     return values.reshape(n, 2, dim)
 
 
 def _read_pairs(path: str, dim: int) -> np.ndarray:
     """The (N, 2, dim) array of finite floats in a pairs file.  Files the
-    list-free parse declines go through `json`, so that each usage error
+    flat parse declines are read as nested JSON, so that each usage error
     keeps its message."""
     try:
         with open(path, "rb") as fh:

@@ -22,6 +22,7 @@ __all__ = [
     "exact_zeros",
     "exact_rref",
     "exact_rank",
+    "int_pivot_columns",
     "exact_kernel",
     "exact_solve",
     "exact_inv",
@@ -114,6 +115,27 @@ def exact_rank(M: np.ndarray) -> int:
         return 0
     _, pivots = exact_rref(M)
     return len(pivots)
+
+
+def int_pivot_columns(M: np.ndarray) -> list[int]:
+    """The pivot columns of an integer matrix, each one outside the span of
+    the columns before it, by fraction-free (Bareiss) elimination: every
+    division is exact, so Python ints stay exact and need no Fractions."""
+    R = M.astype(object)
+    pivots, prev = [], 1
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        below = R[r, c] * R[r + 1 :, c + 1 :] - np.outer(R[r + 1 :, c], R[r, c + 1 :])
+        R[r + 1 :, c + 1 :] = below // prev
+        prev = R[r, c]
+        pivots.append(c)
+    return pivots
 
 
 def exact_kernel(M: np.ndarray) -> np.ndarray:
