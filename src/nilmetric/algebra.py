@@ -249,17 +249,11 @@ def check_derivation(g: LieAlgebra, A, tol: float = FLOAT_LEIBNIZ_TOL) -> CheckR
                     f"A[x,y] - [Ax,y] - [x,Ay] = {[format_frac(x) for x in diff]}",
                 )
         return CheckResult(True)
-    Af = to_float(A)
+    Af, C = to_float(A), g.tensor
     scale = max(1.0, np.linalg.norm(Af, 2))
-    worst, where = 0.0, None
-    for i, j in _pair_iter(g.dim):
-        ei, ej = np.eye(g.dim)[i], np.eye(g.dim)[j]
-        diff = (
-            g.bracket(Af @ ei, ej) + g.bracket(ei, Af @ ej) - Af @ g.bracket(ei, ej)
-        )
-        r = float(np.linalg.norm(diff))
-        if r > worst:
-            worst, where = r, (i, j)
+    # [A e_i, e_j] + [e_i, A e_j] - A [e_i, e_j] for every pair at once
+    D = np.einsum("ai,ajk->ijk", Af, C) + np.einsum("bj,ibk->ijk", Af, C) - C @ Af.T
+    worst, where = _worst_pair(D)
     if worst > tol * scale:
         return CheckResult(
             False, where, f"Leibniz residual {worst:.2e} at basis pair {where}", worst
@@ -291,18 +285,25 @@ def check_automorphism(g: LieAlgebra, phi, tol: float = FLOAT_LEIBNIZ_TOL) -> Ch
     if abs(np.linalg.det(Pf)) < 1e-12:
         raise ValueError("automorphism candidate is singular")
     scale = max(1.0, np.linalg.norm(Pf, 2)) ** 2
-    worst, where = 0.0, None
-    for i, j in _pair_iter(g.dim):
-        ei, ej = np.eye(g.dim)[i], np.eye(g.dim)[j]
-        diff = g.bracket(Pf @ ei, Pf @ ej) - Pf @ g.bracket(ei, ej)
-        r = float(np.linalg.norm(diff))
-        if r > worst:
-            worst, where = r, (i, j)
+    # [phi e_i, phi e_j] - phi [e_i, e_j] for every pair at once
+    C = g.tensor
+    D = np.einsum("bj,ibk->ijk", Pf, np.einsum("ai,abk->ibk", Pf, C)) - C @ Pf.T
+    worst, where = _worst_pair(D)
     if worst > tol * scale:
         return CheckResult(
             False, where, f"morphism residual {worst:.2e} at basis pair {where}", worst
         )
     return CheckResult(True, residual=worst)
+
+
+def _worst_pair(D: np.ndarray):
+    """(worst, where): the largest residual norm |D[i, j]| over basis pairs
+    i < j and the first pair, in `_pair_iter` order, that attains it
+    (where is None when every residual is 0)."""
+    n = D.shape[0]
+    R = np.where(np.triu(np.ones((n, n), dtype=bool), 1), np.linalg.norm(D, axis=2), 0.0)
+    worst = float(R.max(initial=0.0))
+    return (worst, divmod(int(np.argmax(R)), n)) if worst > 0 else (0.0, None)
 
 
 def _looks_rational(M) -> bool:

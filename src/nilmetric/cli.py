@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -221,7 +222,7 @@ def cmd_eval(args) -> int:
         raise UsageError("eval needs a derivation")
     PQ = _read_pairs(args.pairs, g.dim)
     d = _built_distance(args, g, op, ball_tag)
-    vals = d.pair_chunked(PQ[:, 0], PQ[:, 1])
+    vals = d.pair(PQ[:, 0], PQ[:, 1])
     rows = chain.from_iterable(zip(range(len(vals)), vals.tolist()))
     text = "index,distance\n" + "%d,%.12g\n" * len(vals) % tuple(rows)
     if args.out:
@@ -244,15 +245,7 @@ def cmd_verify(args) -> int:
         d.ball, view, d.A, samples=args.samples, seed=args.seed, margin=args.margin
     )
     report = {
-        "axioms": {
-            "samples": ax.samples,
-            "symmetry": ax.symmetry,
-            "positivity_min": ax.positivity_min,
-            "triangle_excess": ax.triangle_excess,
-            "left_invariance": ax.left_invariance,
-            "homogeneity": ax.homogeneity,
-            "ok": ax.ok,
-        },
+        "axioms": dict(asdict(ax), ok=ax.ok),
         "convexity": {
             "samples": cv.samples,
             "violations": cv.violations,

@@ -275,10 +275,9 @@ def _sampled_dilation_defect(
 ) -> float:
     rng = np.random.default_rng(seed)
     n = delta.shape[0]
-    X = rng.normal(size=(samples, n)) * 2.0
-    Y = rng.normal(size=(samples, n)) * 2.0
-    base = d.pair_chunked(X, Y)
-    scaled = d.pair_chunked(X @ delta.T, Y @ delta.T)
+    X, Y = (rng.normal(size=(samples, n)) * 2.0 for _ in range(2))
+    base = d.pair(X, Y)
+    scaled = d.pair(X @ delta.T, Y @ delta.T)
     return float(np.max(np.abs(scaled - lam * base) / np.maximum(lam * base, 1e-300)))
 
 

@@ -43,6 +43,11 @@ _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 2048
 
 
+def _block_rows(width: int) -> int:
+    """Rows of one block whose buffer holds `width` 8-byte entries a row."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * width)))
+
+
 def _check_step(step: int) -> int:
     if not 1 <= step <= MAX_SUPPORTED_STEP:
         raise ValueError(
@@ -141,8 +146,7 @@ class _Law:
                 coef[index[m] - 2 * n, k] = c
         self.coef = coef if back is None else coef @ back
         self.terms = [(2 * n + j, k, self.coef[j, k]) for j, k in zip(*np.nonzero(self.coef))]
-        width = 2 * n + len(self.pairs)  # rows of the buffer, 8-byte entries
-        self.block = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * width)))
+        self.block = _block_rows(2 * n + len(self.pairs))  # the buffer's rows
 
     def apply(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """x * y row by row, for (m, n) float or Fraction batches."""

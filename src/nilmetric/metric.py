@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exact import to_float
-from .group import GroupOps, central_series_basis
+from .group import GroupOps, _block_rows, central_series_basis
 from .spectral import DilationAction, lambda_pow
 
 if TYPE_CHECKING:  # the builders import grading when they run
@@ -97,17 +97,32 @@ class BuildRejected(ValueError):
 # `_ray_radii` reads the ball's extents off it for `sphere_polyline`.
 # A ball is a set only: the derivation that dilates it belongs to the
 # distance (`HomogeneousDistance.A`) or is passed to `dilate_ball`, so
-# one ball can serve more than one derivation.  `sample_in_ball` draws
-# uniform points from each variant's own structure: every ball is a
-# linear image of a product of round balls (one per cap level and one for
-# a NormBall base) and at most one polytope, drawn from the
-# parallelepiped of n independent rows.  A LayeredBall keeps that flat
-# form (`_sampling_form`: the level dims and caps, the base and one
-# composed map), made on its first draw, so a draw is one product.  It
-# keeps a flat form for membership too (`_membership_form`: each level's
-# map composed down the chain of projections), made on its first test,
-# so a test is one product and a norm per level.
+# one ball can serve more than one derivation.  A LayeredBall keeps flat
+# forms of itself for sampling (`_sampling_form`) and for membership
+# (`_membership_form`), made on first use; its tests and a PolyBall's
+# support run over blocks of rows (`_by_blocks`).
 # ---------------------------------------------------------------------------
+
+
+def _by_blocks(fn, rows: int, *arrays) -> np.ndarray:
+    """fn(*blocks) over blocks of `rows` rows of the equally long arrays,
+    joined into one 1-d output: a call holds its output and one block's
+    temporaries.  A last block of one row takes a row from the block before
+    it, as a one-row matrix product takes BLAS's matrix-vector path, which
+    rounds differently, and the output would depend on where blocks end."""
+    m = arrays[0].shape[0]
+    if m <= rows:
+        return fn(*arrays)
+    starts = list(range(0, m, rows))
+    if m - starts[-1] == 1 and rows > 2:
+        starts[-1] -= 1
+    out = None
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        part = fn(*(a[lo:hi] for a in arrays))
+        if out is None:
+            out = np.empty(m, dtype=part.dtype)
+        out[lo:hi] = part
+    return out
 
 
 class NormBall:
@@ -154,11 +169,14 @@ class PolyBall:
         return self.support(X) - 1.0
 
     def support(self, X: np.ndarray) -> np.ndarray:
-        """max_i |row_i . x| per row of X."""
-        X = np.atleast_2d(X)
+        """max_i |row_i . x| per row of X, over blocks of rows."""
         if self._polygon is None:
             spans_plane = self.dim == 2 and len(_independent_rows(self.rows)) == 2
             self._polygon = _polar_polygon(self.rows) if spans_plane else False
+        width = self.dim if self._polygon else len(self.rows)
+        return _by_blocks(self._support, _block_rows(width), np.atleast_2d(X))
+
+    def _support(self, X: np.ndarray) -> np.ndarray:
         if not self._polygon:
             return np.abs(X @ self.rows.T).max(axis=1)
         T, theta, a, b = self._polygon
@@ -264,11 +282,22 @@ class LayeredBall:
         self._form = None  # its `_membership_form`, made on the first test
 
     def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
+        return self._over_blocks(self._contains, X, slack)
+
+    def excess(self, X: np.ndarray) -> np.ndarray:
+        return self._over_blocks(self._excess, X)
+
+    def _over_blocks(self, fn, X: np.ndarray, *args) -> np.ndarray:
+        """fn(rows, *args) over blocks of X sized for the membership form."""
+        rows = _block_rows(_membership_form(self)[0].shape[0])
+        return _by_blocks(lambda Y: fn(Y, *args), rows, np.atleast_2d(X))
+
+    def _contains(self, X: np.ndarray, slack: float) -> np.ndarray:
         norms, caps, base, Yb = self._levels(X)
         ok = (norms <= (caps * (1.0 + slack))[:, None]).all(axis=0)
         return ok if base is None else ok & base.contains(Yb, slack)
 
-    def excess(self, X: np.ndarray) -> np.ndarray:
+    def _excess(self, X: np.ndarray) -> np.ndarray:
         norms, caps, base, Yb = self._levels(X)
         top = np.max(norms / caps[:, None], axis=0) - 1.0
         return top if base is None else np.maximum(top, base.excess(Yb))
@@ -278,7 +307,7 @@ class LayeredBall:
         every row of X, shape (levels, rows), the levels' caps, and the
         PolyBall base with its coordinates of X (None, None: no base)."""
         W, starts, caps, base = _membership_form(self)
-        YT = W @ np.atleast_2d(X).T
+        YT = W @ X.T
         sq = YT[: starts[-1]] * YT[: starts[-1]]
         norms = np.empty((caps.size, YT.shape[1]))
         for i in range(caps.size):  # a loop over the levels beats one reduceat
@@ -358,16 +387,11 @@ def ball_from_json(obj: dict):
     # derivation as "quotient_A"; it is ignored
     kind = obj.get("type")
     if kind == "norm":
-        return NormBall(np.array(obj["gram"], dtype=float))
+        return NormBall(obj["gram"])
     if kind == "poly":
-        return PolyBall(np.array(obj["rows"], dtype=float))
+        return PolyBall(obj["rows"])
     if kind == "layered":
-        return LayeredBall(
-            np.array(obj["top_map"], dtype=float),
-            float(obj["cap"]),
-            np.array(obj["proj"], dtype=float),
-            ball_from_json(obj["inner"]),
-        )
+        return LayeredBall(obj["top_map"], obj["cap"], obj["proj"], ball_from_json(obj["inner"]))
     raise ValueError(f"unknown ball type {kind!r}")
 
 
@@ -550,13 +574,9 @@ def tuned_norm(dim: int, A, theta: float, *, grading: Grading | None = None) -> 
 
     eps = 1.0
     last_fail = ""
+    ordered = [cluster_cols[i] for i in range(len(spec.clusters))]
     for _ in range(_EPS_HALVINGS + 1):
-        cols = []
-        for i in range(len(spec.clusters)):
-            Q, levels = cluster_cols[i]
-            scaling = np.array([eps**lv for lv in levels])
-            cols.append(Q * scaling[None, :])
-        P = np.hstack(cols)
+        P = np.hstack([Q * np.array([eps**lv for lv in levels])[None, :] for Q, levels in ordered])
         H = np.linalg.inv(P @ P.conj().T)
         if np.linalg.norm(H.imag, 2) > 1e-8 * np.linalg.norm(H.real, 2):
             raise NumericFailure("tuned inner product failed to be real")
@@ -725,15 +745,12 @@ def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.n
     """count points drawn uniformly from the ball, read off its structure.
 
     Every ball is a linear image of a product of round balls and at most
-    one polytope (`_sampling_form`): a NormBall {x^T L L^T x <= 1} is
-    L^-T times the unit n-ball; a LayeredBall, in the coordinates M x,
-    M = [top_map; proj] (square and invertible: proj vanishes exactly on
-    the capped span, where top_map is injective), is the product of its
+    one polytope (`_sampling_form`).  A LayeredBall, in the coordinates
+    M x, M = [top_map; proj] (square and invertible: proj vanishes exactly
+    on the capped span, where top_map is injective), is the product of its
     cap-radius ball and its inner ball, for dilated and deserialized balls
     alike.  So each level's round ball is drawn, top-down, then the
-    polytope, and one product maps them all.  A polytope is drawn
-    uniformly from the parallelepiped of n independent rows, which
-    contains it, and kept where inside (a box keeps every draw).
+    polytope (`_sample_polytope`), and one product maps them all.
     """
     if ball.dim != dim:
         raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
@@ -748,6 +765,11 @@ def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.n
     if base is not None:
         XT[lo:] = _sample_polytope(base, count, rng).T
     return XT.T @ F
+
+
+def _block_sizes(samples: int, block: int) -> list[int]:
+    """The sizes of the blocks of at most `block` rows of a sample, in order."""
+    return [min(block, samples - lo) for lo in range(0, samples, block)]
 
 
 @dataclass
@@ -773,41 +795,34 @@ def verify_A_convexity(
     """Sampled check of closure under (lam^A x) * ((1-lam)^A y).  A is
     the derivation or a DilationAction of it (a build passes its own).
 
-    Every x, y and lam is drawn first; the dilations, products and
-    membership tests then run over blocks of the group law's block size
-    (`GroupOps.block`), so no temporary spans the whole sample.  The
-    worst excess and the witnesses (the first five failing x, y, lam)
-    come from the failing rows."""
+    The sample runs in blocks of the group law's block size
+    (`GroupOps.block`): each block's x, y and lam are drawn, in that
+    order, then dilated, multiplied and tested, so no temporary spans the
+    whole sample.  The worst excess and the witnesses (the first five
+    failing x, y, lam) come from the failing rows."""
     rng = np.random.default_rng(seed)
     action = A if isinstance(A, DilationAction) else DilationAction(to_float(A))
     ops = view.ops()
-    X = sample_in_ball(ball, view.dim, samples, rng)
-    Y = sample_in_ball(ball, view.dim, samples, rng)
-    lam = rng.uniform(0.0, 1.0, size=samples)
-    lam = np.clip(lam, 1e-12, 1 - 1e-12)
-    bad, worst, block = [], -np.inf, ops.block
-    for lo in range(0, samples, block):
-        rows = slice(lo, lo + block)
-        Z = ops.product(action.apply(lam[rows], X[rows]), action.apply(1.0 - lam[rows], Y[rows]))
+    bad, worst, witnesses = 0, -np.inf, [np.empty((0, 2 * view.dim + 1))]
+    for m in _block_sizes(samples, ops.block):
+        X = sample_in_ball(ball, view.dim, m, rng)
+        Y = sample_in_ball(ball, view.dim, m, rng)
+        lam = np.clip(rng.uniform(0.0, 1.0, size=m), 1e-12, 1 - 1e-12)
+        Z = ops.product(action.apply(lam, X), action.apply(1.0 - lam, Y))
         out = np.flatnonzero(~ball.contains(Z, slack=margin))
         if out.size:
             worst = max(worst, float(ball.excess(Z[out]).max()))
-            bad.append(lo + out)
-    bad = np.concatenate(bad) if bad else np.zeros(0, dtype=int)
-    first = bad[:5]
-    witnesses = np.hstack([X[first], Y[first], lam[first, None]])
-    return ConvexityReport(samples, bad.size, worst if bad.size else 0.0, witnesses)
+            bad += out.size
+            out = out[:5]
+            witnesses.append(np.hstack([X[out], Y[out], lam[out, None]]))
+    return ConvexityReport(samples, bad, worst if bad else 0.0, np.vstack(witnesses)[:5])
 
 
 def _gram_complement(gram: np.ndarray, sub_onb: np.ndarray) -> np.ndarray:
-    """Euclidean-orthonormal basis of the gram-orthogonal complement."""
-    n = gram.shape[0]
-    M = sub_onb.T @ gram  # (k, n); complement = null space
-    if M.shape[0] == 0:
-        return np.eye(n)
-    U, s, Vh = np.linalg.svd(M)
-    k = M.shape[0]
-    return Vh[k:].T
+    """Euclidean-orthonormal basis of the gram-orthogonal complement: the
+    null space of the (k, n) matrix sub_onb^T gram."""
+    M = sub_onb.T @ gram
+    return np.linalg.svd(M)[2][M.shape[0] :].T if M.shape[0] else np.eye(gram.shape[0])
 
 
 def _build_layered(
@@ -823,29 +838,25 @@ def _build_layered(
 ):
     """Assemble a LayeredBall, estimate its cap by sampling, then validate
     dilation-convexity and double the cap until it passes; action is the
-    level's DilationAction, shared by every check."""
+    level's DilationAction, shared by every check.  The estimate draws and
+    multiplies its sample a block of the group law at a time."""
     top_gonb = _gram_orthonormalize(top_basis, gram)
     top_map = top_gonb.T @ gram
     ops = view.ops()
 
-    m = params.cap_samples
-    XI = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
-    ETA = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
-    lam = np.clip(rng.uniform(0, 1, m), 1e-6, 1 - 1e-6)
-    # running maxima over blocks of the group law's block size
     ratio_lam = ratio_pair = 0.0
-    block = ops.block
-    for lo in range(0, m, block):
-        rows = slice(lo, lo + block)
-        Xbar, Ybar, lb = XI[rows] @ comp_onb.T, ETA[rows] @ comp_onb.T, lam[rows]
+    for m in _block_sizes(params.cap_samples, ops.block):
+        XI = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
+        ETA = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
+        lb = np.clip(rng.uniform(0, 1, m), 1e-6, 1 - 1e-6)
+        Xbar, Ybar = XI @ comp_onb.T, ETA @ comp_onb.T
         # top-layer part of the product of dilated complement representatives
         Z = ops.product(action.apply(lb, Xbar), action.apply(1 - lb, Ybar))
         top_vals = np.linalg.norm(Z @ top_map.T, axis=1)
         ratio_lam = max(ratio_lam, float(np.max(top_vals / (lb * (1 - lb)))))
         # plain bilinear ratio over pairs, for the non-dilated estimate
         Z0 = ops.product(Xbar, Ybar) - Xbar - Ybar
-        nx = np.linalg.norm(XI[rows], axis=1)
-        ny = np.linalg.norm(ETA[rows], axis=1)
+        nx, ny = np.linalg.norm(XI, axis=1), np.linalg.norm(ETA, axis=1)
         good = (nx > 1e-9) & (ny > 1e-9)
         top0 = np.linalg.norm(Z0 @ top_map.T, axis=1)
         if np.any(good):
@@ -903,14 +914,14 @@ def _build_recursive(
 
     # scale the quotient ball so the sum of layer norms of lifted points
     # stays below 1 (the contraction estimate needs it); a weight-2 part
-    # outside the capped core lies in the quotient and is counted
-    XI = sample_in_ball(inner, qview.dim, params.cap_samples, rng)
-    Xbar = XI @ comp_gonb.T
-    total = np.zeros(XI.shape[0])
-    for layer in grading.layers:
-        Lb = _gram_orthonormalize(layer.basis, gram)
-        total += np.linalg.norm(Xbar @ (Lb.T @ gram).T, axis=1)
-    S = float(total.max()) * 1.05
+    # outside the capped core lies in the quotient and is counted.  The
+    # sample is drawn and measured a block at a time
+    layer_maps = [(_gram_orthonormalize(l.basis, gram).T @ gram).T for l in grading.layers]
+    S = 0.0
+    for m in _block_sizes(params.cap_samples, view.ops().block):
+        Xbar = sample_in_ball(inner, qview.dim, m, rng) @ comp_gonb.T
+        S = max(S, float(sum(np.linalg.norm(Xbar @ M, axis=1) for M in layer_maps).max()))
+    S *= 1.05
     if S > 1.0:
         inner = dilate_ball(inner, qaction, 1.0 / S)
 
@@ -965,33 +976,31 @@ def build_distance(g, A, *, params: BuildParams | None = None) -> "HomogeneousDi
 
 
 class MetricFunction:
-    """Batched distance protocol: pair(P, Q) -> per-row distances."""
+    """Batched distance protocol: pair(P, Q) -> per-row distances.
+
+    `pair` does the work for every distance.  It broadcasts a one-row P
+    or Q against the other, then runs blocks of max(1, block //
+    stack_factor) rows through `_pair_block`, so a call holds its output
+    and one block's temporaries whatever its batch.  `block` is the rows of one block of the group law
+    (`GroupOps.block`; a composite reads its base's), and stack_factor the
+    internal rows of dim floats that one row of a block costs.
+    """
 
     dim: int
-    stack_factor: int = 1  # internal row blow-up of one pair() call
+    block: int
+    stack_factor: int = 1
 
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        P, Q = np.broadcast_arrays(*(np.atleast_2d(np.asarray(a, dtype=float)) for a in (P, Q)))
+        return _by_blocks(self._pair_block, max(1, self.block // self.stack_factor), P, Q)
 
     def pair_chunked(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """pair() split into chunks sized so that composite distances
-        (max over maps, sup over dilations) and polytope gauges stay
-        within a memory budget of 3 million internal rows of dim floats
-        per call."""
-        P = np.atleast_2d(P)
-        Q = np.atleast_2d(Q)
-        chunk = max(1, 3_000_000 // max(self.stack_factor, 1))
-        if P.shape[0] <= chunk:
-            return self.pair(P, Q)
-        out = np.empty(P.shape[0])
-        for lo in range(0, P.shape[0], chunk):
-            hi = lo + chunk
-            out[lo:hi] = self.pair(P[lo:hi], Q[lo:hi])
-        return out
+        """`pair`, which runs over blocks itself."""
+        return self.pair(P, Q)
 
     def point(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
-        return self.pair(np.zeros_like(X), X)
+        return self.pair(np.zeros((1, X.shape[1])), X)
 
     def __call__(self, p, q) -> float:
         return float(self.pair(p, q)[0])
@@ -999,9 +1008,10 @@ class MetricFunction:
 
 @dataclass(frozen=True)
 class GaugeRecord:
-    """What one gauge call did.  Rows are answered in closed form unless
-    some level of the ball needs the solver; a pass is one batched excess
-    evaluation over the rows still open."""
+    """What one gauge or pair call did.  Rows are answered in closed form
+    unless some level of the ball needs the solver; a pass is one batched
+    excess evaluation over the rows still open.  A call that runs over
+    several blocks reports one record, each count summed over its blocks."""
 
     closed_rows: int = 0
     solved_rows: int = 0
@@ -1166,7 +1176,8 @@ class HomogeneousDistance(MetricFunction):
     """d(p, q) = N(p^(-1) q) with N the dilation gauge of the unit ball.
 
     The ball is split into per-level gauge terms once, here; after each
-    gauge call, `gauge_record` says how its rows were answered.
+    gauge or pair call, `gauge_record` says how its rows were answered.
+    A block of `pair` is one product and one gauge call.
     """
 
     # the solver's final bracket in log mu: as wide as a geometric
@@ -1197,16 +1208,18 @@ class HomogeneousDistance(MetricFunction):
             (b, self.action if A_level is self.A else DilationAction(A_level), P)
             for b, A_level, P in solved
         ]
-        self._record = GaugeRecord()
+        self._counts = Counter()  # the last call's GaugeRecord fields
+
+    block = property(lambda self: self.ops.block)
 
     @property
     def gauge_record(self) -> GaugeRecord:
-        """What the last gauge call did."""
-        return self._record
+        """What the last gauge or pair call did."""
+        return GaugeRecord(**self._counts)
 
     def gauge(self, X: np.ndarray) -> np.ndarray:
         """N(x) = inf{mu > 0 : mu^(-A) x in B}, as the maximum of its
-        per-level terms (see `_gauge_terms`).
+        per-level terms (see `_gauge_terms`), over the blocks of `pair`.
 
         Closed-form terms are evaluated in log space, each row scaled by
         its largest entry, so they hold at every representable scale; the
@@ -1214,6 +1227,10 @@ class HomogeneousDistance(MetricFunction):
         where N itself exceeds the float range.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        self._counts = Counter()
+        return _by_blocks(self._gauge_block, max(1, self.block // self.stack_factor), X)
+
+    def _gauge_block(self, X: np.ndarray) -> np.ndarray:
         # one row is evaluated as two equal rows: a one-row matrix product
         # takes BLAS's matrix-vector path, which rounds differently from a
         # batch's rows; the record counts the one row
@@ -1246,7 +1263,8 @@ class HomogeneousDistance(MetricFunction):
         nsolved = int(solved.sum())
         for f in ("row_evals", "bisections"):
             counts[f] //= copies
-        self._record = GaugeRecord((X.shape[0] - nsolved) // copies, nsolved // copies, **counts)
+        counts.update(closed_rows=(X.shape[0] - nsolved) // copies, solved_rows=nsolved // copies)
+        self._counts.update(counts)
         if np.any(logN > _LOG_MAX):
             raise OverflowError("gauge value exceeds the float range")
         out = np.zeros(X.shape[0])
@@ -1254,9 +1272,11 @@ class HomogeneousDistance(MetricFunction):
         return out[:1] if copies == 2 else out
 
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        return self.gauge(self.ops.product(-P, Q))
+        self._counts = Counter()
+        return super().pair(P, Q)
+
+    def _pair_block(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        return self._gauge_block(self.ops.product(-P, Q))
 
     def point(self, X: np.ndarray) -> np.ndarray:
         return self.gauge(np.atleast_2d(X))
@@ -1276,17 +1296,16 @@ class MaxOverMaps(MetricFunction):
             self.mats.insert(0, np.eye(self.dim))
         self.stack_factor = base.stack_factor * len(self.mats)
 
-    def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        Q = np.atleast_2d(Q)
+    block = property(lambda self: self.base.block)
+
+    def _pair_block(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         m, n = P.shape
         # P and Q in one product per map, so that one pair is two rows: a
         # one-row matrix product takes BLAS's matrix-vector path, which
         # rounds differently from a batch's rows
         mapped = np.stack([np.vstack([P, Q]) @ M.T for M in self.mats])
         stackP, stackQ = mapped[:, :m].reshape(-1, n), mapped[:, m:].reshape(-1, n)
-        vals = self.base.pair(stackP, stackQ).reshape(len(self.mats), m)
-        return vals.max(axis=0)
+        return self.base.pair(stackP, stackQ).reshape(len(self.mats), m).max(axis=0)
 
 
 class SupOverDilations(MetricFunction):
@@ -1304,11 +1323,10 @@ class SupOverDilations(MetricFunction):
         self.dim = base.dim
         self.stack_factor = base.stack_factor * grid
 
-    def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        Q = np.atleast_2d(Q)
-        m = P.shape[0]
-        g = len(self.mus)
+    block = property(lambda self: self.base.block)
+
+    def _pair_block(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        m, g = P.shape[0], len(self.mus)
         mus_rep = np.repeat(self.mus, m)
         stackP = self.action.apply(mus_rep, np.tile(P, (g, 1)))
         stackQ = self.action.apply(mus_rep, np.tile(Q, (g, 1)))
@@ -1389,12 +1407,9 @@ def bilipschitz_constants(
     rng = np.random.default_rng(seed)
     Df = to_float(delta)
     n = Df.shape[0]
-    X = rng.normal(size=(samples, n)) * 2.0
-    Y = rng.normal(size=(samples, n)) * 2.0
-    r1 = d1.pair_chunked(X, Y)
-    r2 = d2.pair_chunked(X, Y)
-    s1 = d1.pair_chunked(X @ Df.T, Y @ Df.T)
-    s2 = d2.pair_chunked(X @ Df.T, Y @ Df.T)
+    X, Y = (rng.normal(size=(samples, n)) * 2.0 for _ in range(2))
+    r1, r2 = d1.pair(X, Y), d2.pair(X, Y)
+    s1, s2 = d1.pair(X @ Df.T, Y @ Df.T), d2.pair(X @ Df.T, Y @ Df.T)
     def1 = float(np.max(np.abs(s1 / r1 - lam)) / lam)
     def2 = float(np.max(np.abs(s2 / r2 - lam)) / lam)
     if def1 > dilation_tol or def2 > dilation_tol:
@@ -1402,17 +1417,13 @@ def bilipschitz_constants(
             f"delta is not a common dilation of factor {lam:g}: relative "
             f"defects {def1:.2e}, {def2:.2e} exceed {dilation_tol:g}"
         )
-    ratios21 = r2 / r1
-    ratios12 = r1 / r2
+    ratios21, ratios12 = r2 / r1, r1 / r2
     k2 = _exponent_floor(float(ratios21.max()), lam)
     k1 = _exponent_floor(float(ratios12.max()), lam)
-    L2 = lam ** (1 - k2)
-    L1 = lam ** (1 - k1)
+    L2, L1 = lam ** (1 - k2), lam ** (1 - k1)
     # fresh validation sample
-    Xv = rng.normal(size=(samples, n)) * 2.0
-    Yv = rng.normal(size=(samples, n)) * 2.0
-    v1 = d1.pair_chunked(Xv, Yv)
-    v2 = d2.pair_chunked(Xv, Yv)
+    Xv, Yv = (rng.normal(size=(samples, n)) * 2.0 for _ in range(2))
+    v1, v2 = d1.pair(Xv, Yv), d2.pair(Xv, Yv)
     ok = bool(np.all(v2 <= L2 * v1 * (1 + 1e-9)) and np.all(v1 <= L1 * v2 * (1 + 1e-9)))
     info = {
         "L1": float(L1),
@@ -1440,15 +1451,13 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        checks = [
-            self.symmetry <= 1e-8,
-            self.positivity_min > 0,
-            self.triangle_excess <= 1e-8,
-            self.left_invariance <= 1e-8,
-        ]
-        if self.homogeneity is not None:
-            checks.append(self.homogeneity <= 1e-6)
-        return all(checks)
+        return (
+            self.symmetry <= 1e-8
+            and self.positivity_min > 0
+            and self.triangle_excess <= 1e-8
+            and self.left_invariance <= 1e-8
+            and (self.homogeneity is None or self.homogeneity <= 1e-6)
+        )
 
 
 def verify_axioms(
@@ -1466,28 +1475,22 @@ def verify_axioms(
     """
     rng = np.random.default_rng(seed)
     n = d.dim
-    X = rng.uniform(-1.5, 1.5, size=(samples, n))
-    Y = rng.uniform(-1.5, 1.5, size=(samples, n))
-    Z = rng.uniform(-1.5, 1.5, size=(samples, n))
-    dxy = d.pair_chunked(X, Y)
-    dyx = d.pair_chunked(Y, X)
+    X, Y, Z = (rng.uniform(-1.5, 1.5, size=(samples, n)) for _ in range(3))
+    dxy, dyx = d.pair(X, Y), d.pair(Y, X)
     symmetry = float(np.max(np.abs(dxy - dyx) / np.maximum(dxy, 1e-300)))
     sep = np.abs(X - Y).max(axis=1) >= 1e-3
     positivity = float(dxy[sep].min()) if np.any(sep) else float("inf")
-    dxz = d.pair_chunked(X, Z)
-    dyz = d.pair_chunked(Y, Z)
-    triangle = float(np.max(dxz - (dxy + dyz)))
+    triangle = float(np.max(d.pair(X, Z) - (dxy + d.pair(Y, Z))))
+    left = 0.0
     if view is not None:
         ops = view.ops()
-        dz = d.pair_chunked(ops.product(Z, X), ops.product(Z, Y))
+        dz = d.pair(ops.product(Z, X), ops.product(Z, Y))
         left = float(np.max(np.abs(dz - dxy) / np.maximum(dxy, 1e-300)))
-    else:
-        left = 0.0
     homog = None
     if A is not None:
         action = DilationAction(to_float(A))
         lam = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=samples))
-        dl = d.pair_chunked(action.apply(lam, X), action.apply(lam, Y))
+        dl = d.pair(action.apply(lam, X), action.apply(lam, Y))
         homog = float(np.max(np.abs(dl - lam * dxy) / np.maximum(lam * dxy, 1e-300)))
     return AxiomReport(samples, symmetry, positivity, triangle, left, homog)
 
@@ -1519,25 +1522,19 @@ def box_ball_certificate(grid: int = 10**5) -> dict:
     h_half = float(0.25 * wave(np.array([0.5]))[0] + 0.5)
     h_one = 1.0
     h2 = -2 * np.cos(np.log(th)) - 4 * np.sin(np.log(th)) + 4
-    report = {
+    f_ok, h2_ok = bool(max_f <= 1 + 1e-12), bool(np.all(h2 >= 2.0))
+    return {
         "grid": grid,
         "max_f": max_f,
-        "f_bound_ok": bool(max_f <= 1 + 1e-12),
+        "f_bound_ok": f_ok,
         "symmetry_defect": sym,
         "h_half": h_half,
         "h_one": h_one,
         "h_max_on_half_one": float(h.max()),
         "h2_min": float(h2.min()),
-        "h2_ok": bool(np.all(h2 >= 2.0)),
-        "ok": bool(
-            max_f <= 1 + 1e-12
-            and sym <= 1e-12
-            and h_half <= 1
-            and h_one <= 1
-            and np.all(h2 >= 2.0)
-        ),
+        "h2_ok": h2_ok,
+        "ok": f_ok and sym <= 1e-12 and h_half <= 1 and h_one <= 1 and h2_ok,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -363,3 +363,58 @@ def test_filiform14_has_step_13():
     g = _filiform(14)
     assert g.nilpotency_step() == 13
     assert [B.shape[1] for B in g.lower_central_series()] == list(range(12, -1, -1))
+
+
+def _pair_loop_reference(g, M, automorphism):
+    """The float Leibniz or morphism check as a loop over basis pairs,
+    three brackets a pair: the reference for the one contraction."""
+    eye = np.eye(g.dim)
+    worst, where = 0.0, None
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            ei, ej = eye[i], eye[j]
+            if automorphism:
+                diff = g.bracket(M @ ei, M @ ej) - M @ g.bracket(ei, ej)
+            else:
+                diff = g.bracket(M @ ei, ej) + g.bracket(ei, M @ ej) - M @ g.bracket(ei, ej)
+            r = float(np.linalg.norm(diff))
+            if r > worst:
+                worst, where = r, (i, j)
+    return worst, where
+
+
+def _float_check_cases():
+    rng = np.random.default_rng(61)
+    cases = []
+    # 5-dim Heisenberg with its brackets at pairs (0, 3) and (1, 2): under a
+    # multiple of the identity both residuals tie, and the loop reports (0, 3)
+    tied = LieAlgebra(5, {(0, 3): {4: 1}, (1, 2): {4: 1}}, name="heisenberg-5")
+    for g in (heisenberg(), engel(), _free23(), _filiform(7), _sl2(), rototranslation(), tied):
+        n = g.dim
+        grading = np.diag(np.arange(1.0, n + 1))  # a derivation of filiform only
+        for M in (np.eye(n), 2.0 * np.eye(n), grading, np.round(rng.normal(size=(n, n)), 1)):
+            cases.append((g, M))
+            for eps in (1e-13, 1e-7):  # perturbed inside and outside the tolerance
+                cases.append((g, M + eps * rng.normal(size=(n, n))))
+    return cases
+
+
+@pytest.mark.parametrize("automorphism", [False, True])
+def test_float_pair_checks_match_the_loop(automorphism):
+    check = check_automorphism if automorphism else check_derivation
+    kinds = set()
+    for g, M in _float_check_cases():
+        worst, where = _pair_loop_reference(g, M, automorphism)
+        res = check(g, M)
+        # the residuals cancel O(|M|^2) terms, so they agree to rounding of those
+        scale = max(1.0, np.linalg.norm(M, 2)) ** 2
+        assert abs(res.residual - worst) <= 1e-14 * scale, (g.name, M)
+        if res.ok:
+            assert res.witness is None and res.message == ""
+        else:
+            assert res.witness == where, (g.name, M)
+            what = "morphism" if automorphism else "Leibniz"
+            assert res.message == f"{what} residual {worst:.2e} at basis pair {where}"
+        kinds.add((res.ok, worst == 0.0))
+    # accepted exactly, accepted within the tolerance, and rejected
+    assert kinds == {(True, True), (True, False), (False, False)}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -499,6 +500,20 @@ def test_gauge_record_counts_closed_and_solved_rows():
     one = d_box.gauge_record
     assert (one.closed_rows, one.solved_rows) == (0, 1)
     assert one.row_evals == one.bracket_passes + one.solve_passes
+    # 5000 rows run in several blocks and report one record, each count
+    # summed over the blocks; pair reports the same record for its gauge
+    X = np.random.default_rng(34).normal(size=(5000, 2))
+    block = d_box.block
+    assert block < 5000
+    parts = []
+    for lo in range(0, 5000, block):
+        d_box.gauge(X[lo : lo + block])
+        parts.append(d_box.gauge_record)
+    whole = d_box.gauge(X)
+    summed = GaugeRecord(*(sum(counts) for counts in zip(*map(dataclasses.astuple, parts))))
+    assert d_box.gauge_record == summed and summed.solved_rows == 5000
+    assert np.array_equal(d_box.pair(np.zeros((1, 2)), X), whole)
+    assert d_box.gauge_record == summed
     with pytest.raises(AttributeError):
         d_box.gauge_record = rec
     with pytest.raises(AttributeError):
@@ -589,13 +604,19 @@ def benchmark_balls():
 
 
 def _whole_batch_convexity(ball, view, A, samples, seed, margin=1e-9):
-    """verify_A_convexity over the whole sample at once, one product and
-    one membership test: the reference for the blocked check."""
+    """verify_A_convexity's draws, in its order (x, y, then lam for each
+    block of the law's block size), tested over the whole sample at once
+    by one product and one membership test: the reference for the blocked
+    check."""
     rng = np.random.default_rng(seed)
     action = DilationAction(A)
-    X = sample_in_ball(ball, view.dim, samples, rng)
-    Y = sample_in_ball(ball, view.dim, samples, rng)
-    lam = np.clip(rng.uniform(0.0, 1.0, size=samples), 1e-12, 1 - 1e-12)
+    block, parts = view.ops().block, []
+    for lo in range(0, samples, block):
+        m = min(block, samples - lo)
+        X = sample_in_ball(ball, view.dim, m, rng)
+        Y = sample_in_ball(ball, view.dim, m, rng)
+        parts.append((X, Y, np.clip(rng.uniform(0.0, 1.0, size=m), 1e-12, 1 - 1e-12)))
+    X, Y, lam = (np.concatenate(p) for p in zip(*parts))
     Z = view.ops().product(action.apply(lam, X), action.apply(1.0 - lam, Y))
     bad = ~ball.contains(Z, slack=margin)
     worst = float(ball.excess(Z[bad]).max()) if bad.any() else 0.0
@@ -642,8 +663,9 @@ def test_blocked_convexity_matches_the_whole_batch(benchmark_balls, case):
 
 @pytest.mark.parametrize("name", ["heisenberg", "filiform-7"])
 def test_convexity_validation_holds_no_full_size_temporaries(benchmark_balls, name):
-    # the draws x, y and lam are held whole, the dilations, products and
-    # membership tests only a block at a time
+    # the draws x, y and lam, their dilations, products and membership
+    # tests are held a block at a time: the law's buffer of at most 1 MiB
+    # and one block's arrays, whatever the sample size
     view, A, ball = benchmark_balls[name]
     action = DilationAction(A)
     verify_A_convexity(ball, view, action, samples=10, seed=1)  # compiles the law
@@ -655,7 +677,7 @@ def test_convexity_validation_holds_no_full_size_temporaries(benchmark_balls, na
     finally:
         tracemalloc.stop()
     assert rep.ok
-    assert peak <= 3 * samples * view.dim * 8 + samples * 8 + 2**20, peak
+    assert peak <= 2 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +754,21 @@ def test_homogeneous_distance_takes_a_thin_polytope():
 
 def test_pair_chunked_counts_polytope_rows():
     # 1536 rows through a 3-D ball's gauge cost as much memory per input
-    # row as 512 stacked rows of width 3
+    # row as 512 stacked rows of width 3, so a block of pair has
+    # block // 512 rows; pair_chunked is pair
     rows = np.random.default_rng(27).normal(size=(1536, 3))
     d = HomogeneousDistance(AlgebraView.of(abelian(3)), 2.0 * np.eye(3), PolyBall(rows))
     assert d.stack_factor == 512
+    k = d.block // 512
+    assert d.block == d.ops.block and k >= 3
     sizes = []
-    d.pair = lambda P, Q: (sizes.append(P.shape[0]), np.zeros(P.shape[0]))[1]
-    n = 2 * (3_000_000 // 512) + 5
-    assert d.pair_chunked(np.zeros((n, 3)), np.zeros((n, 3))).shape == (n,)
-    assert sizes == [3_000_000 // 512] * 2 + [5]
+    d._pair_block = lambda P, Q: (sizes.append(P.shape[0]), np.zeros(P.shape[0]))[1]
+    assert d.pair_chunked(np.zeros((2 * k + 2, 3)), np.zeros((2 * k + 2, 3))).shape == (2 * k + 2,)
+    assert sizes == [k, k, 2]
+    # a last block of one row takes a row from the block before it
+    sizes.clear()
+    assert d.pair(np.zeros((2 * k + 1, 3)), np.zeros((2 * k + 1, 3))).shape == (2 * k + 1,)
+    assert sizes == [k, k - 1, 2]
     # a plane polytope answers from three hull vertices per row, however
     # many rows it has, so a sup over 32 dilations of the 64-map torus
     # average of the box stacks 32 rows
@@ -750,7 +778,121 @@ def test_pair_chunked_counts_polytope_rows():
     box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
     mats, _ = compact_closure_samples(_rot(1.0))
     sup = SupOverDilations(averaged_distance(box, mats), 2.0 * np.eye(2), math.e, 32)
-    assert sup.stack_factor == 32
+    assert sup.stack_factor == 32 and sup.block == box.block
+
+
+def _reference_distance(name):
+    g, A = FROZEN_CASES[name]
+    with open(REFERENCE / f"{name}.json") as fh:
+        return HomogeneousDistance(AlgebraView.of(g), A, ball_from_json(json.load(fh)["ball"]))
+
+
+def _heisenberg_turn(t):
+    """A rotation of heisenberg's first layer, an automorphism fixing z."""
+    M = np.eye(3)
+    M[:2, :2] = _rot(t)
+    return M
+
+
+def _whole_batch_pair(d, P, Q):
+    """d.pair as one block: the maps or dilations stacked on the whole
+    batch, then one product and one gauge block over all of its rows: the
+    reference for the blocked `pair`."""
+    if isinstance(d, HomogeneousDistance):
+        return d._gauge_block(d.ops.product(-P, Q))
+    m, n = P.shape
+    if isinstance(d, MaxOverMaps):
+        mapped = np.stack([np.vstack([P, Q]) @ M.T for M in d.mats])
+        vals = _whole_batch_pair(d.base, mapped[:, :m].reshape(-1, n), mapped[:, m:].reshape(-1, n))
+        return vals.reshape(len(d.mats), m).max(axis=0)
+    g, mus = len(d.mus), np.repeat(d.mus, m)
+    stackP = d.action.apply(mus, np.tile(P, (g, 1)))
+    stackQ = d.action.apply(mus, np.tile(Q, (g, 1)))
+    return (_whole_batch_pair(d.base, stackP, stackQ) / mus).reshape(g, m).max(axis=0)
+
+
+@pytest.mark.parametrize("case", [*FROZEN_CASES, "max over maps", "sup over dilations", "3-D polytope"])
+def test_pair_is_bit_identical_to_the_whole_batch(case):
+    # 20 001 rows: several blocks and a last one that is not full
+    if case in FROZEN_CASES:
+        d = _reference_distance(case)
+    elif case == "max over maps":
+        d = MaxOverMaps(_reference_distance("heisenberg"), [_heisenberg_turn(t) for t in (0.5, 1.0, 2.0)])
+    elif case == "sup over dilations":
+        heis = _reference_distance("heisenberg")
+        d = SupOverDilations(heis, heis.A, 2.0, 8)
+    else:
+        rows = np.random.default_rng(37).normal(size=(60, 3))
+        d = HomogeneousDistance(AlgebraView.of(abelian(3)), 2.0 * np.eye(3), PolyBall(rows))
+    rng = np.random.default_rng(38)
+    P, Q = rng.normal(size=(20001, d.dim)), rng.normal(size=(20001, d.dim))
+    rows = max(1, d.block // d.stack_factor)
+    assert 1 < rows < 20001 and 20001 % rows
+    assert np.array_equal(d.pair(P, Q), _whole_batch_pair(d, P, Q))
+
+
+def test_pair_holds_one_block_at_a_time():
+    # 200 000 filiform-7 rows: the output and one block's temporaries
+    d = _reference_distance("filiform-7")
+    rng = np.random.default_rng(39)
+    P, Q = rng.normal(size=(200_000, 7)), rng.normal(size=(200_000, 7))
+    d.pair(P[:10], Q[:10])  # compiles the law
+    tracemalloc.start()
+    try:
+        out = d.pair(P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (200_000,)
+    assert peak <= out.nbytes + 2**21, peak
+
+
+def _octagon():
+    angles = np.linspace(0.0, math.pi, 4, endpoint=False)
+    return PolyBall(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
+@pytest.mark.parametrize("case", [*FROZEN_CASES, "over a polygon", "plane polygon", "3-D polytope"])
+def test_ball_tests_match_the_whole_batch(case):
+    # tests over blocks give the bits of one test over the whole batch
+    if case in FROZEN_CASES:
+        ball = _reference_distance(case).ball
+    elif case == "over a polygon":
+        ball = LayeredBall([[0.0, 0.0, 1.0]], 0.5, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], _octagon())
+    elif case == "plane polygon":
+        ball = _octagon()
+    else:
+        ball = PolyBall(np.random.default_rng(40).normal(size=(1536, 3)))
+    rng = np.random.default_rng(41)
+    for m in (1, 4097, 20001):
+        X = rng.normal(size=(m, ball.dim))
+        if isinstance(ball, PolyBall):
+            assert np.array_equal(ball.support(X), ball._support(X)), m
+            continue
+        assert np.array_equal(ball.excess(X), ball._excess(X)), m
+        assert np.array_equal(ball.contains(X, slack=1e-9), ball._contains(X, 1e-9)), m
+
+
+@pytest.mark.parametrize("kind", ["layered", "spiral box", "max over maps", "sup over dilations"])
+def test_pair_broadcasts_a_one_row_operand(kind):
+    box = HomogeneousDistance(R2V, SPIRAL, box_ball(2))
+    d = {
+        "layered": _reference_distance("heisenberg"),
+        "spiral box": box,
+        "max over maps": MaxOverMaps(box, [_rot(math.pi / 2)]),
+        "sup over dilations": SupOverDilations(box, SPIRAL, math.e, 4),
+    }[kind]
+    rng = np.random.default_rng(42)
+    p, Q = rng.normal(size=(1, d.dim)), rng.normal(size=(5, d.dim))
+    np.testing.assert_allclose(d.pair(p, Q), [d(p[0], q) for q in Q], rtol=1e-12)
+    np.testing.assert_allclose(d.pair(Q, p[0]), [d(q, p[0]) for q in Q], rtol=1e-12)
+    with pytest.raises(ValueError):
+        d.pair(Q[:3], Q)
+    # past one block, the one row is broadcast into every block
+    Q = rng.normal(size=(2 * max(1, d.block // d.stack_factor) + 3, d.dim))
+    P = np.repeat(p, len(Q), axis=0)
+    assert np.array_equal(d.pair(p, Q), d.pair(P, Q))
+    assert np.array_equal(d.pair(Q, p), d.pair(Q, P))
 
 
 def test_averaged_distance_finite_rotation_orbit():
