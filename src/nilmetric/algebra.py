@@ -249,9 +249,10 @@ def check_derivation(g: LieAlgebra, A, tol: float = FLOAT_LEIBNIZ_TOL) -> CheckR
                     f"A[x,y] - [Ax,y] - [x,Ay] = {[format_frac(x) for x in diff]}",
                 )
         return CheckResult(True)
-    Af, C = to_float(A), g.tensor
+    Af = to_float(A)
     scale = max(1.0, np.linalg.norm(Af, 2))
     # [A e_i, e_j] + [e_i, A e_j] - A [e_i, e_j] for every pair at once
+    C = g.tensor
     D = np.einsum("ai,ajk->ijk", Af, C) + np.einsum("bj,ibk->ijk", Af, C) - C @ Af.T
     worst, where = _worst_pair(D)
     if worst > tol * scale:

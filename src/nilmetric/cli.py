@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -245,7 +244,15 @@ def cmd_verify(args) -> int:
         d.ball, view, d.A, samples=args.samples, seed=args.seed, margin=args.margin
     )
     report = {
-        "axioms": dict(asdict(ax), ok=ax.ok),
+        "axioms": {
+            "samples": ax.samples,
+            "symmetry": ax.symmetry,
+            "positivity_min": ax.positivity_min,
+            "triangle_excess": ax.triangle_excess,
+            "left_invariance": ax.left_invariance,
+            "homogeneity": ax.homogeneity,
+            "ok": ax.ok,
+        },
         "convexity": {
             "samples": cv.samples,
             "violations": cv.violations,

@@ -275,7 +275,8 @@ def _sampled_dilation_defect(
 ) -> float:
     rng = np.random.default_rng(seed)
     n = delta.shape[0]
-    X, Y = (rng.normal(size=(samples, n)) * 2.0 for _ in range(2))
+    X = rng.normal(size=(samples, n)) * 2.0
+    Y = rng.normal(size=(samples, n)) * 2.0
     base = d.pair(X, Y)
     scaled = d.pair(X @ delta.T, Y @ delta.T)
     return float(np.max(np.abs(scaled - lam * base) / np.maximum(lam * base, 1e-300)))

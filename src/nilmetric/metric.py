@@ -97,25 +97,30 @@ class BuildRejected(ValueError):
 # `_ray_radii` reads the ball's extents off it for `sphere_polyline`.
 # A ball is a set only: the derivation that dilates it belongs to the
 # distance (`HomogeneousDistance.A`) or is passed to `dilate_ball`, so
-# one ball can serve more than one derivation.  A LayeredBall keeps flat
-# forms of itself for sampling (`_sampling_form`) and for membership
-# (`_membership_form`), made on first use; its tests and a PolyBall's
-# support run over blocks of rows (`_by_blocks`).
+# one ball can serve more than one derivation.  `sample_in_ball` draws
+# uniform points from each variant's own structure: every ball is a
+# linear image of a product of round balls (one per cap level and one for
+# a NormBall base) and at most one polytope, drawn from the
+# parallelepiped of n independent rows.  A LayeredBall keeps that flat
+# form (`_sampling_form`: the level dims and caps, the base and one
+# composed map), made on its first draw, so a draw is one product.  It
+# keeps a flat form for membership too (`_membership_form`: each level's
+# map composed down the chain of projections), made on its first test,
+# so a test is one product and a norm per level.  Its tests and a
+# PolyBall's support run over blocks of rows (`_by_blocks`).
 # ---------------------------------------------------------------------------
 
 
 def _by_blocks(fn, rows: int, *arrays) -> np.ndarray:
     """fn(*blocks) over blocks of `rows` rows of the equally long arrays,
     joined into one 1-d output: a call holds its output and one block's
-    temporaries.  A last block of one row takes a row from the block before
-    it, as a one-row matrix product takes BLAS's matrix-vector path, which
-    rounds differently, and the output would depend on where blocks end."""
+    temporaries.  A last block of one row joins the block before it, as a
+    one-row matrix product takes BLAS's matrix-vector path, which rounds
+    differently, and the output would depend on where blocks end."""
     m = arrays[0].shape[0]
     if m <= rows:
         return fn(*arrays)
-    starts = list(range(0, m, rows))
-    if m - starts[-1] == 1 and rows > 2:
-        starts[-1] -= 1
+    starts = list(range(0, m - 1, rows))
     out = None
     for lo, hi in zip(starts, starts[1:] + [m]):
         part = fn(*(a[lo:hi] for a in arrays))
@@ -387,11 +392,16 @@ def ball_from_json(obj: dict):
     # derivation as "quotient_A"; it is ignored
     kind = obj.get("type")
     if kind == "norm":
-        return NormBall(obj["gram"])
+        return NormBall(np.array(obj["gram"], dtype=float))
     if kind == "poly":
-        return PolyBall(obj["rows"])
+        return PolyBall(np.array(obj["rows"], dtype=float))
     if kind == "layered":
-        return LayeredBall(obj["top_map"], obj["cap"], obj["proj"], ball_from_json(obj["inner"]))
+        return LayeredBall(
+            np.array(obj["top_map"], dtype=float),
+            float(obj["cap"]),
+            np.array(obj["proj"], dtype=float),
+            ball_from_json(obj["inner"]),
+        )
     raise ValueError(f"unknown ball type {kind!r}")
 
 
@@ -574,9 +584,13 @@ def tuned_norm(dim: int, A, theta: float, *, grading: Grading | None = None) -> 
 
     eps = 1.0
     last_fail = ""
-    ordered = [cluster_cols[i] for i in range(len(spec.clusters))]
     for _ in range(_EPS_HALVINGS + 1):
-        P = np.hstack([Q * np.array([eps**lv for lv in levels])[None, :] for Q, levels in ordered])
+        cols = []
+        for i in range(len(spec.clusters)):
+            Q, levels = cluster_cols[i]
+            scaling = np.array([eps**lv for lv in levels])
+            cols.append(Q * scaling[None, :])
+        P = np.hstack(cols)
         H = np.linalg.inv(P @ P.conj().T)
         if np.linalg.norm(H.imag, 2) > 1e-8 * np.linalg.norm(H.real, 2):
             raise NumericFailure("tuned inner product failed to be real")
@@ -745,12 +759,15 @@ def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.n
     """count points drawn uniformly from the ball, read off its structure.
 
     Every ball is a linear image of a product of round balls and at most
-    one polytope (`_sampling_form`).  A LayeredBall, in the coordinates
-    M x, M = [top_map; proj] (square and invertible: proj vanishes exactly
-    on the capped span, where top_map is injective), is the product of its
+    one polytope (`_sampling_form`): a NormBall {x^T L L^T x <= 1} is
+    L^-T times the unit n-ball; a LayeredBall, in the coordinates M x,
+    M = [top_map; proj] (square and invertible: proj vanishes exactly on
+    the capped span, where top_map is injective), is the product of its
     cap-radius ball and its inner ball, for dilated and deserialized balls
     alike.  So each level's round ball is drawn, top-down, then the
-    polytope (`_sample_polytope`), and one product maps them all.
+    polytope, and one product maps them all.  A polytope is drawn
+    uniformly from the parallelepiped of n independent rows, which
+    contains it, and kept where inside (a box keeps every draw).
     """
     if ball.dim != dim:
         raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
@@ -819,10 +836,14 @@ def verify_A_convexity(
 
 
 def _gram_complement(gram: np.ndarray, sub_onb: np.ndarray) -> np.ndarray:
-    """Euclidean-orthonormal basis of the gram-orthogonal complement: the
-    null space of the (k, n) matrix sub_onb^T gram."""
-    M = sub_onb.T @ gram
-    return np.linalg.svd(M)[2][M.shape[0] :].T if M.shape[0] else np.eye(gram.shape[0])
+    """Euclidean-orthonormal basis of the gram-orthogonal complement."""
+    n = gram.shape[0]
+    M = sub_onb.T @ gram  # (k, n); complement = null space
+    if M.shape[0] == 0:
+        return np.eye(n)
+    U, s, Vh = np.linalg.svd(M)
+    k = M.shape[0]
+    return Vh[k:].T
 
 
 def _build_layered(
@@ -856,7 +877,8 @@ def _build_layered(
         ratio_lam = max(ratio_lam, float(np.max(top_vals / (lb * (1 - lb)))))
         # plain bilinear ratio over pairs, for the non-dilated estimate
         Z0 = ops.product(Xbar, Ybar) - Xbar - Ybar
-        nx, ny = np.linalg.norm(XI, axis=1), np.linalg.norm(ETA, axis=1)
+        nx = np.linalg.norm(XI, axis=1)
+        ny = np.linalg.norm(ETA, axis=1)
         good = (nx > 1e-9) & (ny > 1e-9)
         top0 = np.linalg.norm(Z0 @ top_map.T, axis=1)
         if np.any(good):
@@ -978,12 +1000,13 @@ def build_distance(g, A, *, params: BuildParams | None = None) -> "HomogeneousDi
 class MetricFunction:
     """Batched distance protocol: pair(P, Q) -> per-row distances.
 
-    `pair` does the work for every distance.  It broadcasts a one-row P
-    or Q against the other, then runs blocks of max(1, block //
-    stack_factor) rows through `_pair_block`, so a call holds its output
-    and one block's temporaries whatever its batch.  `block` is the rows of one block of the group law
-    (`GroupOps.block`; a composite reads its base's), and stack_factor the
-    internal rows of dim floats that one row of a block costs.
+    `pair` does the work for every distance.  It takes rows of dim
+    entries, broadcasts a one-row P or Q against the other, then runs
+    blocks of max(1, block // stack_factor) rows through `_pair_block`,
+    so a call holds its output and one block's temporaries whatever its
+    batch.  `block` is the rows of one block of the group law
+    (`GroupOps.block`; a composite reads its base's), and stack_factor
+    the internal rows of dim floats that one row of a block costs.
     """
 
     dim: int
@@ -991,7 +1014,10 @@ class MetricFunction:
     stack_factor: int = 1
 
     def pair(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        P, Q = np.broadcast_arrays(*(np.atleast_2d(np.asarray(a, dtype=float)) for a in (P, Q)))
+        P, Q = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (P, Q))
+        if P.shape[1:] != (self.dim,) or Q.shape[1:] != (self.dim,):
+            raise ValueError(f"pair takes rows of {self.dim} entries, not {P.shape} and {Q.shape}")
+        P, Q = np.broadcast_arrays(P, Q)  # the rows only: the widths agree
         return _by_blocks(self._pair_block, max(1, self.block // self.stack_factor), P, Q)
 
     def pair_chunked(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -1291,21 +1317,22 @@ class MaxOverMaps(MetricFunction):
     def __init__(self, base: MetricFunction, mats: list[np.ndarray]):
         self.base = base
         self.dim = base.dim
-        self.mats = [np.asarray(M, dtype=float) for M in mats]
+        self.mats = np.asarray(mats, dtype=float).reshape(-1, self.dim, self.dim)
         if not any(np.allclose(M, np.eye(self.dim)) for M in self.mats):
-            self.mats.insert(0, np.eye(self.dim))
+            self.mats = np.concatenate([np.eye(self.dim)[None], self.mats])
         self.stack_factor = base.stack_factor * len(self.mats)
 
     block = property(lambda self: self.base.block)
 
     def _pair_block(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         m, n = P.shape
-        # P and Q in one product per map, so that one pair is two rows: a
-        # one-row matrix product takes BLAS's matrix-vector path, which
-        # rounds differently from a batch's rows
-        mapped = np.stack([np.vstack([P, Q]) @ M.T for M in self.mats])
+        # every map of P and Q in one stacked product, so that one pair is
+        # two rows: a one-row matrix product takes BLAS's matrix-vector
+        # path, which rounds differently from a batch's rows
+        mapped = np.vstack([P, Q]) @ self.mats.transpose(0, 2, 1)
         stackP, stackQ = mapped[:, :m].reshape(-1, n), mapped[:, m:].reshape(-1, n)
-        return self.base.pair(stackP, stackQ).reshape(len(self.mats), m).max(axis=0)
+        vals = self.base.pair(stackP, stackQ).reshape(len(self.mats), m)
+        return vals.max(axis=0)
 
 
 class SupOverDilations(MetricFunction):
@@ -1326,7 +1353,8 @@ class SupOverDilations(MetricFunction):
     block = property(lambda self: self.base.block)
 
     def _pair_block(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        m, g = P.shape[0], len(self.mus)
+        m = P.shape[0]
+        g = len(self.mus)
         mus_rep = np.repeat(self.mus, m)
         stackP = self.action.apply(mus_rep, np.tile(P, (g, 1)))
         stackQ = self.action.apply(mus_rep, np.tile(Q, (g, 1)))
@@ -1407,9 +1435,12 @@ def bilipschitz_constants(
     rng = np.random.default_rng(seed)
     Df = to_float(delta)
     n = Df.shape[0]
-    X, Y = (rng.normal(size=(samples, n)) * 2.0 for _ in range(2))
-    r1, r2 = d1.pair(X, Y), d2.pair(X, Y)
-    s1, s2 = d1.pair(X @ Df.T, Y @ Df.T), d2.pair(X @ Df.T, Y @ Df.T)
+    X = rng.normal(size=(samples, n)) * 2.0
+    Y = rng.normal(size=(samples, n)) * 2.0
+    r1 = d1.pair(X, Y)
+    r2 = d2.pair(X, Y)
+    s1 = d1.pair(X @ Df.T, Y @ Df.T)
+    s2 = d2.pair(X @ Df.T, Y @ Df.T)
     def1 = float(np.max(np.abs(s1 / r1 - lam)) / lam)
     def2 = float(np.max(np.abs(s2 / r2 - lam)) / lam)
     if def1 > dilation_tol or def2 > dilation_tol:
@@ -1417,13 +1448,17 @@ def bilipschitz_constants(
             f"delta is not a common dilation of factor {lam:g}: relative "
             f"defects {def1:.2e}, {def2:.2e} exceed {dilation_tol:g}"
         )
-    ratios21, ratios12 = r2 / r1, r1 / r2
+    ratios21 = r2 / r1
+    ratios12 = r1 / r2
     k2 = _exponent_floor(float(ratios21.max()), lam)
     k1 = _exponent_floor(float(ratios12.max()), lam)
-    L2, L1 = lam ** (1 - k2), lam ** (1 - k1)
+    L2 = lam ** (1 - k2)
+    L1 = lam ** (1 - k1)
     # fresh validation sample
-    Xv, Yv = (rng.normal(size=(samples, n)) * 2.0 for _ in range(2))
-    v1, v2 = d1.pair(Xv, Yv), d2.pair(Xv, Yv)
+    Xv = rng.normal(size=(samples, n)) * 2.0
+    Yv = rng.normal(size=(samples, n)) * 2.0
+    v1 = d1.pair(Xv, Yv)
+    v2 = d2.pair(Xv, Yv)
     ok = bool(np.all(v2 <= L2 * v1 * (1 + 1e-9)) and np.all(v1 <= L1 * v2 * (1 + 1e-9)))
     info = {
         "L1": float(L1),
@@ -1451,13 +1486,15 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.symmetry <= 1e-8
-            and self.positivity_min > 0
-            and self.triangle_excess <= 1e-8
-            and self.left_invariance <= 1e-8
-            and (self.homogeneity is None or self.homogeneity <= 1e-6)
-        )
+        checks = [
+            self.symmetry <= 1e-8,
+            self.positivity_min > 0,
+            self.triangle_excess <= 1e-8,
+            self.left_invariance <= 1e-8,
+        ]
+        if self.homogeneity is not None:
+            checks.append(self.homogeneity <= 1e-6)
+        return all(checks)
 
 
 def verify_axioms(
@@ -1475,17 +1512,23 @@ def verify_axioms(
     """
     rng = np.random.default_rng(seed)
     n = d.dim
-    X, Y, Z = (rng.uniform(-1.5, 1.5, size=(samples, n)) for _ in range(3))
-    dxy, dyx = d.pair(X, Y), d.pair(Y, X)
+    X = rng.uniform(-1.5, 1.5, size=(samples, n))
+    Y = rng.uniform(-1.5, 1.5, size=(samples, n))
+    Z = rng.uniform(-1.5, 1.5, size=(samples, n))
+    dxy = d.pair(X, Y)
+    dyx = d.pair(Y, X)
     symmetry = float(np.max(np.abs(dxy - dyx) / np.maximum(dxy, 1e-300)))
     sep = np.abs(X - Y).max(axis=1) >= 1e-3
     positivity = float(dxy[sep].min()) if np.any(sep) else float("inf")
-    triangle = float(np.max(d.pair(X, Z) - (dxy + d.pair(Y, Z))))
-    left = 0.0
+    dxz = d.pair(X, Z)
+    dyz = d.pair(Y, Z)
+    triangle = float(np.max(dxz - (dxy + dyz)))
     if view is not None:
         ops = view.ops()
         dz = d.pair(ops.product(Z, X), ops.product(Z, Y))
         left = float(np.max(np.abs(dz - dxy) / np.maximum(dxy, 1e-300)))
+    else:
+        left = 0.0
     homog = None
     if A is not None:
         action = DilationAction(to_float(A))
@@ -1522,19 +1565,25 @@ def box_ball_certificate(grid: int = 10**5) -> dict:
     h_half = float(0.25 * wave(np.array([0.5]))[0] + 0.5)
     h_one = 1.0
     h2 = -2 * np.cos(np.log(th)) - 4 * np.sin(np.log(th)) + 4
-    f_ok, h2_ok = bool(max_f <= 1 + 1e-12), bool(np.all(h2 >= 2.0))
-    return {
+    report = {
         "grid": grid,
         "max_f": max_f,
-        "f_bound_ok": f_ok,
+        "f_bound_ok": bool(max_f <= 1 + 1e-12),
         "symmetry_defect": sym,
         "h_half": h_half,
         "h_one": h_one,
         "h_max_on_half_one": float(h.max()),
         "h2_min": float(h2.min()),
-        "h2_ok": h2_ok,
-        "ok": f_ok and sym <= 1e-12 and h_half <= 1 and h_one <= 1 and h2_ok,
+        "h2_ok": bool(np.all(h2 >= 2.0)),
+        "ok": bool(
+            max_f <= 1 + 1e-12
+            and sym <= 1e-12
+            and h_half <= 1
+            and h_one <= 1
+            and np.all(h2 >= 2.0)
+        ),
     }
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -765,10 +765,18 @@ def test_pair_chunked_counts_polytope_rows():
     d._pair_block = lambda P, Q: (sizes.append(P.shape[0]), np.zeros(P.shape[0]))[1]
     assert d.pair_chunked(np.zeros((2 * k + 2, 3)), np.zeros((2 * k + 2, 3))).shape == (2 * k + 2,)
     assert sizes == [k, k, 2]
-    # a last block of one row takes a row from the block before it
+    # a last block of one row joins the block before it
     sizes.clear()
     assert d.pair(np.zeros((2 * k + 1, 3)), np.zeros((2 * k + 1, 3))).shape == (2 * k + 1,)
-    assert sizes == [k, k - 1, 2]
+    assert sizes == [k, k + 1]
+    # so it does at two rows a block: 3000 rows cost 1000 stacked rows
+    rows = np.random.default_rng(28).normal(size=(3000, 3))
+    d = HomogeneousDistance(AlgebraView.of(abelian(3)), 2.0 * np.eye(3), PolyBall(rows))
+    assert d.block // d.stack_factor == 2
+    sizes = []
+    d._pair_block = lambda P, Q: (sizes.append(P.shape[0]), np.zeros(P.shape[0]))[1]
+    assert d.pair(np.zeros((5, 3)), np.zeros((5, 3))).shape == (5,)
+    assert sizes == [2, 3]
     # a plane polytope answers from three hull vertices per row, however
     # many rows it has, so a sup over 32 dilations of the 64-map torus
     # average of the box stacks 32 rows
@@ -888,6 +896,12 @@ def test_pair_broadcasts_a_one_row_operand(kind):
     np.testing.assert_allclose(d.pair(Q, p[0]), [d(q, p[0]) for q in Q], rtol=1e-12)
     with pytest.raises(ValueError):
         d.pair(Q[:3], Q)
+    # only rows broadcast: a P of one column, or one entry, is refused
+    for bad in (Q[:, :1], Q[:1, :1], np.ones((5, d.dim + 1)), Q[None]):
+        with pytest.raises(ValueError, match="rows of"):
+            d.pair(bad, Q)
+        with pytest.raises(ValueError, match="rows of"):
+            d.pair(Q, bad)
     # past one block, the one row is broadcast into every block
     Q = rng.normal(size=(2 * max(1, d.block // d.stack_factor) + 3, d.dim))
     P = np.repeat(p, len(Q), axis=0)
