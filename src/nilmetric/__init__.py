@@ -36,6 +36,17 @@ _EXPORTS = {
         "quotient",
         "rototranslation",
     ),
+    "ball": (
+        "BuildRejected",
+        "LayeredBall",
+        "NormBall",
+        "NumericFailure",
+        "PolyBall",
+        "ball_from_json",
+        "ball_to_json",
+        "box_ball",
+        "dilate_ball",
+    ),
     "catalog": ("CATALOG", "catalog_entry", "validate_catalog"),
     "decompose": (
         "DilationDecomposition",
@@ -44,6 +55,15 @@ _EXPORTS = {
         "compact_closure_samples",
         "decompose_automorphism",
         "realify",
+    ),
+    "distance": (
+        "GaugeRecord",
+        "HomogeneousDistance",
+        "averaged_distance",
+        "bilipschitz_constants",
+        "box_ball_certificate",
+        "sphere_polyline",
+        "verify_axioms",
     ),
     "grading": (
         "ExistenceVerdict",
@@ -56,31 +76,8 @@ _EXPORTS = {
         "hausdorff_dimension",
         "split_derivation",
     ),
-    "group": ("GroupOps", "bch_coefficients", "bch_product", "dilate", "inverse"),
-    "metric": (
-        "AlgebraView",
-        "BuildParams",
-        "BuildRejected",
-        "GaugeRecord",
-        "HomogeneousDistance",
-        "LayeredBall",
-        "NormBall",
-        "NumericFailure",
-        "PolyBall",
-        "averaged_distance",
-        "ball_from_json",
-        "ball_to_json",
-        "bilipschitz_constants",
-        "box_ball",
-        "box_ball_certificate",
-        "build_ball",
-        "build_distance",
-        "dilate_ball",
-        "sphere_polyline",
-        "tuned_norm",
-        "verify_A_convexity",
-        "verify_axioms",
-    ),
+    "group": ("AlgebraView", "GroupOps", "bch_coefficients", "bch_product", "dilate", "inverse"),
+    "metric": ("BuildParams", "build_ball", "build_distance", "tuned_norm", "verify_A_convexity"),
     "spectral": (
         "DilationAction",
         "EigenCluster",

@@ -99,7 +99,7 @@ class LieAlgebra:
         self._tensor_float = to_float(self._tensor_exact)
         self._scale, self._tensor_int = self._build_int_tensor()
         self._check_jacobi()
-        # made on first use by nilmetric.group and nilmetric.metric
+        # made on first use by nilmetric.group
         self._group_ops = self._exact_group_law = self._view = None
 
     def _build_tensor(self) -> np.ndarray:

@@ -20,22 +20,11 @@ from itertools import chain
 import numpy as np
 
 from .algebra import algebra_from_json, matrix_from_json
+from .ball import BuildRejected, NumericFailure, ball_from_json, box_ball
 from .catalog import CATALOG, catalog_entry, validate_catalog
+from .distance import HomogeneousDistance, box_ball_certificate, sphere_polyline, verify_axioms
 from .exact import to_float
-from .metric import (
-    AlgebraView,
-    BuildParams,
-    BuildRejected,
-    HomogeneousDistance,
-    NumericFailure,
-    ball_from_json,
-    box_ball,
-    box_ball_certificate,
-    build_ball,
-    sphere_polyline,
-    verify_A_convexity,
-    verify_axioms,
-)
+from .group import AlgebraView
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -138,6 +127,8 @@ def _built_distance(args, g, op, ball_tag):
     elif ball_tag == "box":
         ball = box_ball(g.dim)
     else:
+        from .metric import BuildParams, build_ball
+
         params = BuildParams(seed=args.seed)
         ball = build_ball(g, op, params=params)
     return HomogeneousDistance(view, to_float(op), ball)
@@ -233,6 +224,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .metric import verify_A_convexity
+
     g, op, lam, ball_tag = _resolve_problem(args)
     if op is None:
         raise UsageError("verify needs a derivation")

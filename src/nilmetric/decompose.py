@@ -24,19 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import LieAlgebra, check_automorphism, check_derivation
-from .exact import to_float
-from .grading import classify_automorphism
-from .metric import (
-    AlgebraView,
-    DilationAction,
+from .ball import NumericFailure
+from .distance import (
     HomogeneousDistance,
     MetricFunction,
-    NumericFailure,
     SupOverDilations,
     averaged_distance,
     bilipschitz_constants,
 )
-from .spectral import generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
+from .exact import to_float
+from .grading import classify_automorphism
+from .group import AlgebraView
+from .spectral import DilationAction, generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
 
 __all__ = [
     "DilationDecomposition",

@@ -13,6 +13,7 @@ thousands and, in floats, cancels large high-degree coordinates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -28,6 +29,7 @@ __all__ = [
     "inverse",
     "dilate",
     "GroupOps",
+    "AlgebraView",
     "central_series_basis",
     "float_nilpotency_step",
     "MAX_SUPPORTED_STEP",
@@ -274,6 +276,40 @@ class GroupOps:
     def product(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X, Y = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (X, Y))
         return self._compiled().apply(*np.broadcast_arrays(X, Y))
+
+
+@dataclass(frozen=True)
+class AlgebraView:
+    """Float-backend view of a nilpotent algebra: enough for group ops.
+    series is the tensor's `central_series_basis`, if already walked."""
+
+    dim: int
+    tensor: np.ndarray
+    step: int
+    series: tuple | None = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, g) -> "AlgebraView":
+        """g's view, one per algebra; its group law is the algebra's
+        `GroupOps.for_algebra(g)`, so an algebra compiles one float law."""
+        if g._view is None:
+            step = g.nilpotency_step()
+            if step is None:
+                raise ValueError(f"{g.name} is not nilpotent")
+            view = cls(g.dim, g.tensor, step)
+            view.__dict__["_ops"] = GroupOps.for_algebra(g)
+            g._view = view
+        return g._view
+
+    @property
+    def is_abelian(self) -> bool:
+        return self.step <= 1 or not np.abs(self.tensor).any()
+
+    def ops(self) -> GroupOps:
+        """The view's group law: one GroupOps, shared by every caller."""
+        if "_ops" not in self.__dict__:
+            self.__dict__["_ops"] = GroupOps(self.tensor, self.step, self.series)
+        return self.__dict__["_ops"]
 
 
 def central_series_basis(tensor: np.ndarray, tol: float = 1e-10):

@@ -293,7 +293,8 @@ def test_verify_reports_convexity_witnesses(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # an eval launch loads neither scipy nor the classifier and realify modules
+    # an eval launch loads neither scipy, nor the classifier and realify
+    # modules, nor the build (`metric`)
     ball = build_ball(heisenberg(), np.diag([1.0, 1.0, 2.0]))
     bf, pf = tmp_path / "ball.json", tmp_path / "pairs.json"
     bf.write_text(json.dumps({"ball": ball_to_json(ball)}))
@@ -305,7 +306,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         "import sys\n"
         "def unwanted():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                  or m in ('nilmetric.decompose', 'nilmetric.grading'))\n"
+        "                  or m in ('nilmetric.decompose', 'nilmetric.grading', 'nilmetric.metric'))\n"
         "import nilmetric\n"
         "print(sorted(m for m in sys.modules if m.startswith('nilmetric.')), file=sys.stderr)\n"
         "import nilmetric.cli\n"

@@ -14,8 +14,10 @@ import scipy.stats
 
 from nilmetric import metric
 from nilmetric.algebra import LieAlgebra, abelian, check_automorphism, engel, heisenberg
+from nilmetric.ball import _ray_radii
 from nilmetric.catalog import CATALOG
 from nilmetric.decompose import compact_closure_samples
+from nilmetric.distance import _exponent_floor, _illinois_log_gauge
 from nilmetric.exact import as_exact
 from nilmetric.grading import classify_derivation
 from nilmetric.group import GroupOps, bch_product
@@ -33,10 +35,7 @@ from nilmetric.metric import (
     NormBall,
     NumericFailure,
     PolyBall,
-    _exponent_floor,
     _gram_restriction,
-    _illinois_log_gauge,
-    _ray_radii,
     _unit_ball_draws,
     averaged_distance,
     ball_from_json,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from nilmetric import decompose, metric
-from nilmetric.algebra import abelian
+from nilmetric.algebra import abelian, heisenberg
 from nilmetric.spectral import lambda_pow
 
 
@@ -34,3 +34,16 @@ def test_tracer_binds_every_target_and_restores_it():
     assert {(owner, attr): owner.__dict__[attr] for owner, attr, _, _ in tracing._TARGETS} == before
     layers = tracing.reduce(tracer.spans, 1)
     assert layers["decompose.closure_mats"] == 64 and layers["decompose.closure_torus"] == 1
+
+
+def test_tracer_sees_the_build_layers():
+    # the build's stages are module-level names of `metric` that the
+    # tracer rebinds; a stage called from another module would read 0
+    tracing = _tracing()
+    with tracing.Tracer() as tracer:
+        metric.build_ball(heisenberg(), np.diag([1.0, 1.0, 2.0]))
+    layers = tracing.reduce(tracer.spans, 1)
+    names = [s.name for s in tracer.spans]
+    assert layers["metric.convexity_calls"] == 1
+    assert names.count("metric.tuned_norm") >= 1 and names.count("metric.sample_in_ball") >= 1
+    assert layers["metric.cap_doublings"] == 0
