@@ -53,17 +53,15 @@ class BuildRejected(ValueError):
 # `distance.sphere_polyline`.  A ball is a set only: the derivation that
 # dilates it belongs to the distance (`HomogeneousDistance.A`) or is
 # passed to `dilate_ball`, so one ball can serve more than one
-# derivation.  `metric.sample_in_ball` draws uniform points from each
-# variant's own structure: every ball is a linear image of a product of
-# round balls (one per cap level and one for a NormBall base) and at most
-# one polytope, drawn from the parallelepiped of n independent rows.  A
-# LayeredBall keeps that flat form (`metric._sampling_form`: the level
-# dims and caps, the base and one composed map), made on its first draw,
-# so a draw is one product.  It
-# keeps a flat form for membership too (`_membership_form`: each level's
-# map composed down the chain of projections), made on its first test,
-# so a test is one product and a norm per level.  Its tests and a
-# PolyBall's support run over blocks of rows (`_by_blocks`).
+# derivation.  Every ball has one flat form (`_flat_form`): levels
+# {|W_i x|_2 <= c_i} and at most one polytope base on W_b x, read off a
+# LayeredBall's chain of projections once and kept on it.  Membership
+# tests each level against its cap, `metric.sample_in_ball` draws each
+# level's round ball (and the base from the parallelepiped of n
+# independent rows) and maps the draws by F = W^-T in one product, and
+# `distance._gauge_terms` splits the gauge by level.  A test is one
+# product and a norm per level; it and a PolyBall's support run over
+# blocks of rows (`_by_blocks`).
 # ---------------------------------------------------------------------------
 
 
@@ -223,12 +221,12 @@ class LayeredBall:
 
     Membership: ||top_map @ x||_2 <= cap  and  inner.contains(proj @ x);
     excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1),
-    evaluated in one pass over every level (`_membership_form`).
-    A built ball's top_map rows are the capped subspace's coordinates in
-    the tuned inner product and proj maps to tuned-orthonormal quotient
-    coordinates; [top_map; proj] is square and invertible.  The ball
-    holds no derivation: a derivation A acting on it induces
-    proj A proj^+ on the quotient (see `distance._gauge_terms`).
+    evaluated in one pass over every level of its flat form
+    (`_flat_form`).  A built ball's top_map rows are the capped
+    subspace's coordinates in the tuned inner product and proj maps to
+    tuned-orthonormal quotient coordinates; [top_map; proj] is square and
+    invertible, which sampling needs and membership does not.  The ball
+    holds no derivation.
     """
 
     kind = "layered"
@@ -239,8 +237,7 @@ class LayeredBall:
         self.proj = np.atleast_2d(np.asarray(proj, dtype=float))
         self.inner = inner
         self.dim = self.top_map.shape[1]
-        self._flat = None  # its `metric._sampling_form`, made on the first draw
-        self._form = None  # its `_membership_form`, made on the first test
+        self._form = None  # its `_flat_form`, made on first use
 
     def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
         return self._over_blocks(self._contains, X, slack)
@@ -249,8 +246,8 @@ class LayeredBall:
         return self._over_blocks(self._excess, X)
 
     def _over_blocks(self, fn, X: np.ndarray, *args) -> np.ndarray:
-        """fn(rows, *args) over blocks of X sized for the membership form."""
-        rows = _block_rows(_membership_form(self)[0].shape[0])
+        """fn(rows, *args) over blocks of X sized for the flat form."""
+        rows = _block_rows(_flat_form(self)[0].shape[0])
         return _by_blocks(lambda Y: fn(Y, *args), rows, np.atleast_2d(X))
 
     def _contains(self, X: np.ndarray, slack: float) -> np.ndarray:
@@ -267,7 +264,7 @@ class LayeredBall:
         """(norms, caps, base, Yb): the norm of each level's coordinates of
         every row of X, shape (levels, rows), the levels' caps, and the
         PolyBall base with its coordinates of X (None, None: no base)."""
-        W, starts, caps, base = _membership_form(self)
+        W, starts, caps, base, _ = _flat_form(self)
         YT = W @ X.T
         sq = YT[: starts[-1]] * YT[: starts[-1]]
         norms = np.empty((caps.size, YT.shape[1]))
@@ -280,31 +277,35 @@ class LayeredBall:
         return LayeredBall(self.top_map, cap, self.proj, self.inner)
 
 
-def _membership_form(ball: LayeredBall):
-    """(W, starts, caps, base) with ball = {x : |W_i x|_2 <= caps[i] for
+def _flat_form(ball):
+    """(W, starts, caps, base, F) with ball = {x : |W_i x|_2 <= caps[i] for
     every level i, and W_b x in base}, W_i the rows starts[i]:starts[i + 1]
-    of W and W_b its rows from starts[-1] (none when base is None).
+    of W and W_b its rows from starts[-1] (none when base is None), and
+    F = W^-T (None when W is not square or is singular).
 
-    The rows are top_map, then each inner level's rows times proj, down
-    the levels: the recursion's maps composed once, kept on the ball from
-    its first test.  A NormBall base {y^T L L^T y <= 1} is one more level,
-    L^T of cap 1; a PolyBall base keeps its own test on the composed
-    projection.  Nothing is inverted, so [top_map; proj] may be any
-    shape."""
+    A NormBall {x^T L L^T x <= 1} is one level, L^T of cap 1; a PolyBall
+    is its own base on W = I.  A LayeredBall's rows are top_map, then its
+    inner ball's rows times proj: the recursion's maps composed once and
+    kept on the ball, with F, from its first use."""
+    if isinstance(ball, NormBall):
+        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
+        return L.T, np.array([0, ball.dim]), np.ones(1), None, np.linalg.inv(L)
+    if isinstance(ball, PolyBall):
+        I = np.eye(ball.dim)
+        return I, np.zeros(1, dtype=int), np.empty(0), ball, I
+    if not isinstance(ball, LayeredBall):
+        raise TypeError(f"a ball of type {type(ball).__name__} has no flat form")
     if ball._form is None:
-        inner = ball.inner
-        if isinstance(inner, LayeredBall):
-            W, starts, caps, base = _membership_form(inner)
-        elif isinstance(inner, NormBall):
-            L = np.linalg.cholesky((inner.gram + inner.gram.T) / 2.0)
-            W, starts, caps, base = L.T, np.array([0, inner.dim]), np.ones(1), None
-        elif isinstance(inner, PolyBall):
-            W, starts, caps, base = np.eye(inner.dim), np.zeros(1, dtype=int), np.empty(0), inner
-        else:
-            raise TypeError(f"cannot test membership in a ball of type {type(inner).__name__}")
+        W, starts, caps, base, _ = _flat_form(ball.inner)
         W = np.vstack([ball.top_map, W @ ball.proj])
+        F = None
+        if W.shape[0] == W.shape[1]:
+            try:
+                F = np.linalg.inv(W).T
+            except np.linalg.LinAlgError:
+                pass
         starts = np.concatenate([[0], ball.top_map.shape[0] + starts])
-        ball._form = W, starts, np.concatenate([[ball.cap], caps]), base
+        ball._form = W, starts, np.concatenate([[ball.cap], caps]), base, F
     return ball._form
 
 

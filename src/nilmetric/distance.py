@@ -28,6 +28,7 @@ from .ball import (
     NumericFailure,
     PolyBall,
     _by_blocks,
+    _flat_form,
     _independent_rows,
     _ray_radii,
     ball_to_json,
@@ -113,47 +114,49 @@ def _near(X, Y, scale) -> bool:
     return float(np.linalg.norm(X - Y)) <= _CONFORMAL_RTOL * float(scale)
 
 
-def _gauge_terms(ball, A: np.ndarray, P: np.ndarray):
-    """Split the gauge of ball, for the derivation A on the coordinates
-    P x, into per-level terms whose maximum is N.
+def _gauge_terms(ball, A: np.ndarray):
+    """Split the gauge of ball for the derivation A into per-level terms
+    whose maximum is N.
 
-    Membership in a LayeredBall is (top cap) and (inner ball at proj x),
-    each an up-set in mu, so N = max(N_top, N_inner(proj x)) when A
-    induces maps on both coordinate sets: top_map A = M top_map and
-    proj A = A_hat proj, read off as M = top_map A top_map^+ and
-    A_hat = proj A proj^+.  The cap is then the norm ball of radius cap
-    for M on the top coordinates, and the inner ball is split the same
-    way for A_hat, so the ball needs no derivation of its own.  A leaf has
-    a closed form when A acts on it conformally: A^T G + G A = 2t G for a
-    NormBall (N = (x^T G x)^(1/2t)), A = t I for a PolyBall
-    (N = max_i |r_i . x|^(1/t)).  Returns (closed, solved): closed terms
+    The ball is the intersection of the levels of its flat form
+    (`ball._flat_form`), {|W_i x| <= c_i} and the base {W_b x in base},
+    each an up-set in mu, so N is the maximum of the levels' gauges when
+    A induces a map on every level's coordinates: W_i A = M W_i, read off
+    as M = W_i A W_i^+.  A level has a closed form when M acts on it
+    conformally: M + M^T = 2t I for a round level (N = (|W_i x| / c_i)^(1/t)),
+    M = t I for the base (N = max_j |r_j . W_b x|^(1/t)); any other level
+    is solved on its own, for M.  If some level is not invariant under A,
+    or the ball is one level that is not closed or of another type, the
+    whole ball is solved, for A.  Returns (closed, solved): closed terms
     (R, t) mean N = |R x|^(1/t), in the 2-norm for a matrix R and the
     support function for a PolyBall R; solved terms (ball, A, P) go to the
-    Illinois solver.
+    Illinois solver on the coordinates P x.
     """
-    if isinstance(ball, LayeredBall):
-        T, Q = ball.top_map, ball.proj
-        M = T @ A @ np.linalg.pinv(T)
-        A_hat = Q @ A @ np.linalg.pinv(Q)
-        scale = np.linalg.norm(A)
-        if _near(T @ A, M @ T, scale * np.linalg.norm(T)) and _near(
-            Q @ A, A_hat @ Q, scale * np.linalg.norm(Q)
-        ):
-            cap = NormBall(np.eye(T.shape[0]) / ball.cap**2)
-            c1, s1 = _gauge_terms(cap, M, T @ P)
-            c2, s2 = _gauge_terms(ball.inner, A_hat, Q @ P)
-            return c1 + c2, s1 + s2
-    t = float(np.trace(A)) / A.shape[0]
-    if isinstance(ball, NormBall) and _near(
-        A.T @ ball.gram + ball.gram @ A,
-        2.0 * t * ball.gram,
-        np.linalg.norm(A) * np.linalg.norm(ball.gram),
-    ):
-        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
-        return [(L.T @ P, t)], []
-    if isinstance(ball, PolyBall) and _near(A, t * np.eye(A.shape[0]), np.linalg.norm(A)):
-        return [(PolyBall(ball.rows @ P), t)], []
-    return [], [(ball, A, P)]
+    whole = [], [(ball, A, np.eye(A.shape[0]))]
+    if not isinstance(ball, (NormBall, PolyBall, LayeredBall)):
+        return whole
+    W, starts, caps, base, _ = _flat_form(ball)
+    levels = [(W[lo:hi], c) for lo, hi, c in zip(starts, starts[1:], caps)]
+    if base is not None:
+        levels.append((W[starts[-1] :], base))
+    scale = np.linalg.norm(A)
+    closed, solved = [], []
+    for Wi, c in levels:
+        M = Wi @ A @ np.linalg.pinv(Wi)
+        if not _near(Wi @ A, M @ Wi, scale * np.linalg.norm(Wi)):
+            return whole
+        k = M.shape[0]
+        t = float(np.trace(M)) / k
+        if c is base:
+            if _near(M, t * np.eye(k), np.linalg.norm(M)):
+                closed.append((PolyBall(base.rows @ Wi), t))
+            else:
+                solved.append((base, M, Wi))
+        elif _near(M + M.T, 2.0 * t * np.eye(k), np.linalg.norm(M)):
+            closed.append((Wi / c, t))
+        else:
+            solved.append((NormBall(np.eye(k) / c**2), M, Wi))
+    return whole if len(levels) == 1 and solved else (closed, solved)
 
 
 def _illinois_log_gauge(ball, action: DilationAction, Y: np.ndarray, logm: np.ndarray, width: float):
@@ -284,7 +287,7 @@ class HomogeneousDistance(MetricFunction):
             # other holds R / dim floats per row of input for its R rows
             if self.dim != 2:
                 self.stack_factor = -(-ball.rows.shape[0] // self.dim)
-        self._closed, solved = _gauge_terms(ball, self.A, np.eye(self.dim))
+        self._closed, solved = _gauge_terms(ball, self.A)
         self._solved = [
             (b, self.action if A_level is self.A else DilationAction(A_level), P)
             for b, A_level, P in solved

@@ -215,13 +215,24 @@ def hausdorff_dimension(grading: Grading) -> float:
     return Q
 
 
-def _v1_diagonalizable(spec: SpectralData, weight_of) -> bool:
-    """Diagonalizability of the restriction to the weight-1 layer, decided
-    per cluster from the rank of (M - a I) on its generalized eigenspace."""
-    for c in spec.clusters:
-        if abs(weight_of(c) - 1.0) <= WEIGHT_TOL and not c.diagonalizable:
-            return False
-    return True
+def _verdict(g: LieAlgebra, failed_check, grading: Grading, weight_of, low_reason, v1_reason):
+    """The classifiers' one verdict: failed_check is the reason the map
+    failed its derivation or automorphism check (None when it passed);
+    then nilpotency, one low_reason(t) per layer of weight t < 1, and
+    v1_reason unless the map is diagonalizable on the weight-1 layer,
+    decided per cluster (weight_of(cluster) within WEIGHT_TOL of 1) from
+    the rank of (M - a I) on its generalized eigenspace."""
+    reasons = [] if failed_check is None else [failed_check]
+    if not g.is_nilpotent:
+        reasons.append("algebra not nilpotent")
+    reasons += [low_reason(l.weight) for l in grading.layers if l.weight < 1 - WEIGHT_TOL]
+    if any(
+        abs(weight_of(c) - 1.0) <= WEIGHT_TOL and not c.diagonalizable
+        for c in grading.spec.clusters
+    ):
+        reasons.append(v1_reason)
+    Q = float(sum(l.weight * l.dim for l in grading.layers))
+    return ExistenceVerdict(not reasons, tuple(reasons), grading, Q)
 
 
 def classify_derivation(g: LieAlgebra, A) -> ExistenceVerdict:
@@ -232,22 +243,16 @@ def classify_derivation(g: LieAlgebra, A) -> ExistenceVerdict:
     to the weight-1 layer is diagonalizable over C.  Failed conditions
     are returned as structured reasons.
     """
-    reasons: list[str] = []
     Af = to_float(A)
     dres = check_derivation(g, Af)
-    if not dres:
-        reasons.append(f"A is not a derivation: {dres.message}")
-    spec = generalized_eigenspaces(Af)
-    grading = grading_from_derivation(g, Af, spec=spec)
-    if not g.is_nilpotent:
-        reasons.append("algebra not nilpotent")
-    for l in grading.layers:
-        if l.weight < 1 - WEIGHT_TOL:
-            reasons.append(f"V_t != 0 for t = {l.weight:.6g} < 1")
-    if not _v1_diagonalizable(spec, lambda c: c.value.real):
-        reasons.append("A restricted to V_1 is not diagonalizable over C")
-    Q = float(sum(l.weight * l.dim for l in grading.layers))
-    return ExistenceVerdict(not reasons, tuple(reasons), grading, Q)
+    return _verdict(
+        g,
+        None if dres else f"A is not a derivation: {dres.message}",
+        grading_from_derivation(g, Af),
+        lambda c: c.value.real,
+        lambda t: f"V_t != 0 for t = {t:.6g} < 1",
+        "A restricted to V_1 is not diagonalizable over C",
+    )
 
 
 def classify_automorphism(g: LieAlgebra, delta, lam: float) -> ExistenceVerdict:
@@ -260,30 +265,19 @@ def classify_automorphism(g: LieAlgebra, delta, lam: float) -> ExistenceVerdict:
     """
     if lam <= 0 or lam == 1.0:
         raise ValueError("dilation factor must be positive and != 1")
-    reasons: list[str] = []
     Df = to_float(delta)
     ares = check_automorphism(g, Df)
-    if not ares:
-        reasons.append(f"delta is not a Lie algebra automorphism: {ares.message}")
-    spec = generalized_eigenspaces(Df)
-    grading = grading_from_automorphism(g, Df, lam, spec=spec)
-    if not g.is_nilpotent:
-        reasons.append("algebra not nilpotent")
     loglam = np.log(lam)
-    for l in grading.layers:
-        if l.weight < 1 - WEIGHT_TOL:
-            modulus = lam**l.weight
-            side = "greater" if lam < 1 else "smaller"
-            reasons.append(
-                f"eigenvalue modulus {modulus:.6g} is {side} than lambda = {lam:.6g} "
-                f"(layer weight {l.weight:.6g} < 1)"
-            )
-    if not _v1_diagonalizable(spec, lambda c: np.log(abs(c.value)) / loglam):
-        reasons.append(
-            "delta is not diagonalizable on the eigenspaces of modulus lambda"
-        )
-    Q = float(sum(l.weight * l.dim for l in grading.layers))
-    return ExistenceVerdict(not reasons, tuple(reasons), grading, Q)
+    side = "greater" if lam < 1 else "smaller"
+    return _verdict(
+        g,
+        None if ares else f"delta is not a Lie algebra automorphism: {ares.message}",
+        grading_from_automorphism(g, Df, lam),
+        lambda c: np.log(abs(c.value)) / loglam,
+        lambda t: f"eigenvalue modulus {lam**t:.6g} is {side} than lambda = {lam:.6g} "
+        f"(layer weight {t:.6g} < 1)",
+        "delta is not diagonalizable on the eigenspaces of modulus lambda",
+    )
 
 
 def split_derivation(

@@ -37,6 +37,7 @@ from .ball import (
     NormBall,
     NumericFailure,
     PolyBall,
+    _flat_form,
     _independent_rows,
     ball_from_json,
     ball_to_json,
@@ -340,35 +341,6 @@ def _spanning_rows(rows: np.ndarray) -> np.ndarray:
     return rows[picked]
 
 
-def _sampling_form(ball):
-    """(levels, base, F) with ball = {[c_1 u_1, ..., c_L u_L, p] F}: levels
-    [(k_i, c_i)] top-down with u_i in the unit k_i-ball, p in the PolyBall
-    base (None: no base), F square.  A NormBall is one level, F = L^-1; a
-    PolyBall its own base, F = I; a LayeredBall its cap level on top of its
-    inner ball's form, F = blockdiag(I, F_inner) M^-T, kept on the ball
-    from its first draw."""
-    if isinstance(ball, NormBall):
-        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
-        return [(ball.dim, 1.0)], None, np.linalg.inv(L)
-    if isinstance(ball, PolyBall):
-        return [], ball, np.eye(ball.dim)
-    if not isinstance(ball, LayeredBall):
-        raise TypeError(f"cannot sample ball of type {type(ball).__name__}")
-    if ball._flat is None:
-        levels, base, F = _sampling_form(ball.inner)
-        k = ball.top_map.shape[0]
-        try:
-            Minv = np.linalg.inv(np.vstack([ball.top_map, ball.proj]))
-        except np.linalg.LinAlgError as err:
-            raise NumericFailure(
-                f"[top_map; proj] of a layered ball is not invertible: {err}"
-            ) from err
-        G = np.eye(ball.dim)
-        G[k:, k:] = F
-        ball._flat = [(k, ball.cap)] + levels, base, G @ Minv.T
-    return ball._flat
-
-
 def _sample_polytope(ball: PolyBall, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws from the parallelepiped of n independent rows, which
     contains the polytope, kept where inside (a box keeps every draw)."""
@@ -383,31 +355,30 @@ def _sample_polytope(ball: PolyBall, count: int, rng: np.random.Generator) -> np
 
 
 def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points drawn uniformly from the ball, read off its structure.
+    """count points drawn uniformly from the ball, read off its flat form.
 
-    Every ball is a linear image of a product of round balls and at most
-    one polytope (`_sampling_form`): a NormBall {x^T L L^T x <= 1} is
-    L^-T times the unit n-ball; a LayeredBall, in the coordinates M x,
-    M = [top_map; proj] (square and invertible: proj vanishes exactly on
-    the capped span, where top_map is injective), is the product of its
-    cap-radius ball and its inner ball, for dilated and deserialized balls
-    alike.  So each level's round ball is drawn, top-down, then the
-    polytope, and one product maps them all.  A polytope is drawn
+    In the coordinates W x of its flat form (`ball._flat_form`) every ball
+    is a product of round balls, one per level of radius its cap, and at
+    most one polytope base, for built, dilated and deserialized balls
+    alike.  So each level's round ball is drawn, top-down, then the base,
+    and one product with F = W^-T maps them all; a ball whose W is not
+    square and invertible cannot be sampled.  A polytope is drawn
     uniformly from the parallelepiped of n independent rows, which
     contains it, and kept where inside (a box keeps every draw).
     """
     if ball.dim != dim:
         raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
-    levels, base, F = _sampling_form(ball)
-    if ball is base:
+    if isinstance(ball, PolyBall):
         return _sample_polytope(ball, count, rng)
+    W, starts, caps, base, F = _flat_form(ball)
+    if F is None:
+        raise NumericFailure(f"the {W.shape[0]} x {dim} map of the ball's levels is not invertible")
     # a row per coordinate, so that each level fills a contiguous block
-    XT, lo = np.empty((dim, count)), 0
-    for k, cap in levels:
-        np.multiply(_unit_ball_draws(k, count, rng).T, cap, out=XT[lo : lo + k])
-        lo += k
+    XT = np.empty((dim, count))
+    for lo, hi, cap in zip(starts, starts[1:], caps):
+        np.multiply(_unit_ball_draws(hi - lo, count, rng).T, cap, out=XT[lo:hi])
     if base is not None:
-        XT[lo:] = _sample_polytope(base, count, rng).T
+        XT[starts[-1] :] = _sample_polytope(base, count, rng).T
     return XT.T @ F
 
 

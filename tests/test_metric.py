@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.stats
 
 from nilmetric import metric
-from nilmetric.algebra import LieAlgebra, abelian, check_automorphism, engel, heisenberg
+from nilmetric.algebra import LieAlgebra, abelian, check_automorphism, check_derivation, engel, heisenberg
 from nilmetric.ball import _ray_radii
 from nilmetric.catalog import CATALOG
 from nilmetric.decompose import compact_closure_samples
@@ -435,10 +435,28 @@ def _solver_gauge(d, X):
     return np.exp(logN)
 
 
-@pytest.mark.parametrize("entry,op", CATALOG_YES)
-def test_closed_form_gauge_matches_solver(entry, op):
-    e = CATALOG[entry]
-    d = HomogeneousDistance(AlgebraView.of(e.algebra), e.derivations[op], _catalog_ball(entry, op))
+@pytest.mark.parametrize(
+    "entry,op",
+    [
+        *CATALOG_YES,
+        *(("reference", name) for name in FROZEN_CASES),
+        ("sampled", "filiform-7 dilated"),
+        ("sampled", "engel from json"),
+    ],
+)
+def test_closed_form_gauge_matches_solver(request, entry, op):
+    # catalog builds, the frozen reference balls and a dilated and a
+    # deserialized build, each with its own derivation
+    if entry == "reference":
+        g, A = FROZEN_CASES[op]
+        ball = _frozen_ball(op)
+    elif entry == "sampled":
+        g, A = FROZEN_CASES[op.split()[0]]
+        ball = request.getfixturevalue("sampled_balls")[op]
+    else:
+        e = CATALOG[entry]
+        g, A, ball = e.algebra, e.derivations[op], _catalog_ball(entry, op)
+    d = HomogeneousDistance(AlgebraView.of(g), A, ball)
     X = np.random.default_rng(30).normal(size=(500, d.dim)) * 2.0
     closed, solved = d.gauge(X), _solver_gauge(d, X)
     assert np.max(np.abs(closed - solved) / solved) <= 1e-10
@@ -470,6 +488,23 @@ def test_gauge_routes_levels_by_conformality(name):
         assert d._closed and not d._solved
         assert rec.closed_rows == 300 and rec.solved_rows == 0
         assert rec.bracket_passes == rec.solve_passes == rec.row_evals == 0
+
+
+def test_gauge_solves_the_whole_ball_when_an_inner_level_is_not_invariant(sampled_balls):
+    # D e1 = e1 + e3 keeps engel's top level (x4) invariant but mixes e3,
+    # the inner level's coordinate, into e1's image: that level has no
+    # induced map, so the whole ball goes to the solver, for D itself
+    g, A = FROZEN_CASES["engel"]
+    D = A.copy()
+    D[2, 0] = 1.0
+    assert check_derivation(g, D)
+    d = HomogeneousDistance(AlgebraView.of(g), D, sampled_balls["engel"])
+    assert not d._closed and len(d._solved) == 1
+    assert d._solved[0][0] is d.ball and d._solved[0][1] is d.action
+    X = np.random.default_rng(35).normal(size=(400, 4)) * 2.0
+    closed, solved = d.gauge(X), _solver_gauge(d, X)
+    assert d.gauge_record.solved_rows == 400 and d.gauge_record.closed_rows == 0
+    assert np.max(np.abs(closed - solved) / solved) <= 1e-10
 
 
 def test_gauge_record_counts_closed_and_solved_rows():
@@ -1326,6 +1361,10 @@ def _membership_ball(name, sampled_balls, benchmark_balls):
     if name == "layered with a tall [top_map; proj]":
         inner = NormBall(np.array([[2.0, 0.3], [0.3, 0.5]]))
         return LayeredBall(rng.normal(size=(2, 3)), 0.9, rng.normal(size=(2, 3)), inner)
+    if name == "layered with a singular [top_map; proj]":  # [[1, 0], [2, 0]]
+        inner = {"type": "poly", "rows": [[1.0]]}
+        obj = {"type": "layered", "top_map": [[1.0, 0.0]], "cap": 0.5, "proj": [[2.0, 0.0]]}
+        return ball_from_json({**obj, "inner": inner})
     return sampled_balls[name]
 
 
@@ -1335,6 +1374,7 @@ MEMBERSHIP_BALLS = [
     "engel with a halved cap",
     "layered over a polygon",
     "layered with a tall [top_map; proj]",
+    "layered with a singular [top_map; proj]",
 ]
 
 
@@ -1356,6 +1396,16 @@ def test_flat_membership_matches_the_recursion(sampled_balls, benchmark_balls, n
                 far = np.abs(want - slack) > 1e-12
                 got = ball.contains(X, slack)
                 assert np.array_equal(got[far], _recursive_contains(ball, X, slack)[far])
+
+
+@pytest.mark.parametrize("shape", ["tall", "singular"])
+def test_sample_in_ball_refuses_levels_that_do_not_invert(shape):
+    # membership needs no inverse of the levels' map (see the two balls'
+    # membership cases above); sampling does
+    ball = _membership_ball(f"layered with a {shape} [top_map; proj]", None, None)
+    ball = ball_from_json(json.loads(json.dumps(ball_to_json(ball))))
+    with pytest.raises(NumericFailure, match="not invertible"):
+        sample_in_ball(ball, ball.dim, 10, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
