@@ -99,8 +99,10 @@ class LieAlgebra:
         self._tensor_float = to_float(self._tensor_exact)
         self._scale, self._tensor_int = self._build_int_tensor()
         self._check_jacobi()
-        # made on first use by nilmetric.group
+        # made on first use by nilmetric.group, and the build plans by
+        # derivation by nilmetric.metric
         self._group_ops = self._exact_group_law = self._view = None
+        self._plans = {}
 
     def _build_tensor(self) -> np.ndarray:
         n = self.dim

@@ -226,6 +226,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     from .metric import verify_A_convexity
 
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     g, op, lam, ball_tag = _resolve_problem(args)
     if op is None:
         raise UsageError("verify needs a derivation")

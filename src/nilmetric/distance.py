@@ -568,6 +568,8 @@ def verify_axioms(
     Residuals are worst cases over the sample; triangle excess is
     absolute, the rest relative.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     n = d.dim
     X = rng.uniform(-1.5, 1.5, size=(samples, n))

@@ -17,6 +17,10 @@ of grading layers:
 
 Every built ball is validated by randomized dilation-convexity checks;
 the cap is doubled from its sampled estimate until validation passes.
+What no sample touches (the verdict, each level's quotient, grading,
+tuned gram and compiled group law) is the build plan, made once per
+algebra and derivation and kept on the algebra; every build runs the
+sampled stages (quotient scaling, cap estimate, validation) afresh.
 `build_distance` pairs the ball with its derivation as a
 `distance.HomogeneousDistance`.  The public names of `ball` and
 `distance` are imported here too, so each still resolves as
@@ -271,6 +275,11 @@ class BuildParams:
     cap_samples: int = 10**4
     seed: int = 12345
 
+    def __post_init__(self):
+        for name in ("convexity_samples", "cap_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 # cap doublings before a layered build gives up
 _CAP_DOUBLINGS = 20
@@ -415,6 +424,8 @@ def verify_A_convexity(
     order, then dilated, multiplied and tested, so no temporary spans the
     whole sample.  The worst excess and the witnesses (the first five
     failing x, y, lam) come from the failing rows."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     action = A if isinstance(A, DilationAction) else DilationAction(to_float(A))
     ops = view.ops()
@@ -444,29 +455,100 @@ def _gram_complement(gram: np.ndarray, sub_onb: np.ndarray) -> np.ndarray:
     return Vh[k:].T
 
 
-def _build_layered(
-    view: AlgebraView,
-    action: DilationAction,
-    gram: np.ndarray,
-    top_basis: np.ndarray,
-    inner_ball,
-    proj: np.ndarray,
-    comp_onb: np.ndarray,
-    params: BuildParams,
-    rng: np.random.Generator,
-):
-    """Assemble a LayeredBall, estimate its cap by sampling, then validate
-    dilation-convexity and double the cap until it passes; action is the
-    level's DilationAction, shared by every check.  The estimate draws and
-    multiplies its sample a block of the group law at a time."""
-    top_gonb = _gram_orthonormalize(top_basis, gram)
-    top_map = top_gonb.T @ gram
-    ops = view.ops()
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """One level of a build plan: its view, whose compiled group law every
+    build reuses, the DilationAction of its derivation (action.A) and its
+    tuned gram; a non-Abelian level also holds the capped top layer's map
+    top_map, the gram-orthonormal quotient basis comp_gonb with its
+    coordinate map proj, and the maps of its layers (layer_maps)."""
 
+    view: AlgebraView
+    action: DilationAction
+    gram: np.ndarray
+    top_map: np.ndarray | None = None
+    comp_gonb: np.ndarray | None = None
+    proj: np.ndarray | None = None
+    layer_maps: tuple = ()
+
+
+def _make_plan(g, A):
+    """(verdict, levels): the classifier's verdict and, when it says yes,
+    the levels of the construction top-down, down to the Abelian base;
+    every array in them is read-only.
+
+    An Abelian level gets the tuned norm.  Any other level caps its top
+    layer, or only the layer's diagonalizable core (which contains
+    [g, g]) when the top weight is at most 2, and the next level is the
+    quotient by the capped span, graded once here.
+    """
+    # imported here so the classifier is looked up on its module at call time
+    from .grading import WEIGHT_TOL, classify_derivation, grading_from_derivation
+
+    verdict = classify_derivation(g, A)
+    if not verdict.answer:
+        return verdict, ()
+    view, Af, grading, levels = AlgebraView.of(g), np.array(A, dtype=float), verdict.grading, []
+    while not view.is_abelian:
+        theta = default_theta(grading.weights, general_top=True)
+        gram = tuned_norm(view.dim, Af, theta, grading=grading).gram
+        top = grading.layers[-1]
+        capped = top.core if top.weight <= 2 + WEIGHT_TOL else top.basis
+        if capped.shape[1] == 0:
+            raise NumericFailure(
+                "non-Abelian algebra with top weight <= 2 has no diagonalizable "
+                "weight-2 core; grading data is inconsistent"
+            )
+        comp_gonb, proj, A_hat, qview = _quotient(view, Af, gram, capped)
+        top_map = _gram_orthonormalize(capped, gram).T @ gram
+        layer_maps = tuple((_gram_orthonormalize(l.basis, gram).T @ gram).T for l in grading.layers)
+        action = DilationAction(Af, spec=grading.spec)
+        view.ops().block  # compiles the level's group law
+        levels.append(_Level(view, action, gram, top_map, comp_gonb, proj, layer_maps))
+        view, Af, grading = qview, A_hat, grading_from_derivation(None, A_hat)
+    gram = tuned_norm(view.dim, Af, default_theta(grading.weights), grading=grading).gram
+    levels.append(_Level(view, DilationAction(Af, spec=grading.spec), gram))
+    for level in levels:
+        action = level.action
+        for v in [*vars(level).values(), *level.layer_maps, *vars(action).values(), *action.npows]:
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+    return verdict, tuple(levels)
+
+
+def _plan(g, A):
+    """The build plan of (g, A), made once and kept on the algebra, keyed by
+    A's content as given: an exact A and a float A never share a plan."""
+    a = np.asarray(A)
+    key = a.dtype.str, a.shape, tuple(a.flat) if a.dtype == object else a.tobytes()
+    if key not in g._plans:
+        g._plans[key] = _make_plan(g, A)
+    return g._plans[key]
+
+
+def _build_layered(level: _Level, qaction: DilationAction, inner, params: BuildParams, rng):
+    """A level's LayeredBall over the quotient ball `inner`, from its
+    sampled stages: the quotient scaling, the cap estimate, then
+    dilation-convexity validation, doubling the cap until it passes;
+    qaction is the quotient's DilationAction.  Each sample is drawn and
+    measured a block of the group law at a time."""
+    ops = level.view.ops()
+    # scale the quotient ball so the sum of layer norms of lifted points
+    # stays below 1 (the contraction estimate needs it); a weight-2 part
+    # outside the capped core lies in the quotient and is counted
+    S = 0.0
+    for m in _block_sizes(params.cap_samples, ops.block):
+        Xbar = sample_in_ball(inner, inner.dim, m, rng) @ level.comp_gonb.T
+        S = max(S, float(sum(np.linalg.norm(Xbar @ M, axis=1) for M in level.layer_maps).max()))
+    S *= 1.05
+    if S > 1.0:
+        inner = dilate_ball(inner, qaction, 1.0 / S)
+
+    action, top_map, comp_onb = level.action, level.top_map, level.comp_gonb
     ratio_lam = ratio_pair = 0.0
     for m in _block_sizes(params.cap_samples, ops.block):
-        XI = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
-        ETA = sample_in_ball(inner_ball, inner_ball.dim, m, rng)
+        XI = sample_in_ball(inner, inner.dim, m, rng)
+        ETA = sample_in_ball(inner, inner.dim, m, rng)
         lb = np.clip(rng.uniform(0, 1, m), 1e-6, 1 - 1e-6)
         Xbar, Ybar = XI @ comp_onb.T, ETA @ comp_onb.T
         # top-layer part of the product of dilated complement representatives
@@ -483,11 +565,10 @@ def _build_layered(
             ratio_pair = max(ratio_pair, float(np.max(top0[good] / (nx[good] * ny[good]))))
 
     C = max(1.5 * ratio_lam / 2.0, 1.5 * ratio_pair / 2.0, 1e-12)
-    ball = LayeredBall(top_map, C, proj, inner_ball)
+    ball = LayeredBall(top_map, C, level.proj, inner)
     for _ in range(_CAP_DOUBLINGS + 1):
-        report = verify_A_convexity(
-            ball, view, action, samples=params.convexity_samples, seed=int(rng.integers(2**31))
-        )
+        seed = int(rng.integers(2**31))
+        report = verify_A_convexity(ball, level.view, action, params.convexity_samples, seed)
         if report.ok:
             return ball
         ball = ball.with_cap(ball.cap * 2.0)
@@ -495,57 +576,6 @@ def _build_layered(
         f"cap search exhausted its budget of {_CAP_DOUBLINGS} doublings "
         f"(last violation excess {report.worst_excess:.3e})"
     )
-
-
-def _build_recursive(
-    view: AlgebraView,
-    A: np.ndarray,
-    params: BuildParams,
-    rng,
-    grading: Grading,
-    action: DilationAction,
-):
-    """One level's ball; grading and action are A's grading and
-    DilationAction, made from one eigen-decomposition of A.
-
-    An Abelian level gets the tuned norm ball.  Any other level caps its
-    top layer, or only the layer's diagonalizable core (which contains
-    [g, g]) when the top weight is at most 2, and recurses on the
-    quotient by the capped span, graded once here.
-    """
-    from .grading import WEIGHT_TOL, grading_from_derivation
-
-    if view.is_abelian:
-        return NormBall(tuned_norm(view.dim, A, default_theta(grading.weights), grading=grading).gram)
-    theta = default_theta(grading.weights, general_top=True)
-    gram = tuned_norm(view.dim, A, theta, grading=grading).gram
-    top = grading.layers[-1]
-    capped = top.core if top.weight <= 2 + WEIGHT_TOL else top.basis
-    if capped.shape[1] == 0:
-        raise NumericFailure(
-            "non-Abelian algebra with top weight <= 2 has no diagonalizable "
-            "weight-2 core; grading data is inconsistent"
-        )
-
-    comp_gonb, proj, A_hat, qview = _quotient(view, A, gram, capped)
-    qgrading = grading_from_derivation(None, A_hat)
-    qaction = DilationAction(A_hat, spec=qgrading.spec)
-    inner = _build_recursive(qview, A_hat, params, rng, qgrading, qaction)
-
-    # scale the quotient ball so the sum of layer norms of lifted points
-    # stays below 1 (the contraction estimate needs it); a weight-2 part
-    # outside the capped core lies in the quotient and is counted.  The
-    # sample is drawn and measured a block at a time
-    layer_maps = [(_gram_orthonormalize(l.basis, gram).T @ gram).T for l in grading.layers]
-    S = 0.0
-    for m in _block_sizes(params.cap_samples, view.ops().block):
-        Xbar = sample_in_ball(inner, qview.dim, m, rng) @ comp_gonb.T
-        S = max(S, float(sum(np.linalg.norm(Xbar @ M, axis=1) for M in layer_maps).max()))
-    S *= 1.05
-    if S > 1.0:
-        inner = dilate_ball(inner, qaction, 1.0 / S)
-
-    return _build_layered(view, action, gram, capped, inner, proj, comp_gonb, params, rng)
 
 
 def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.ndarray):
@@ -570,19 +600,21 @@ def _quotient(view: AlgebraView, A: np.ndarray, gram: np.ndarray, capped: np.nda
 def build_ball(g, A, *, params: BuildParams | None = None):
     """Unit ball of a homogeneous distance for the derivation A.
 
-    Rejects (BuildRejected) when the existence classifier says no.
+    Rejects (BuildRejected) when the existence classifier says no.  The
+    plan of (g, A) (`_make_plan`) is made on the first build and kept on
+    g; each build walks its levels bottom-up and runs only the sampled
+    stages (`_build_layered`), drawing every sample from one generator
+    seeded by params.seed, so a repeat build gives the same ball.
     """
-    # imported here so the classifier is looked up on its module at call time
-    from .grading import classify_derivation
-
     params = params or BuildParams()
-    verdict = classify_derivation(g, A)
+    verdict, levels = _plan(g, A)
     if not verdict.answer:
         raise BuildRejected(verdict)
-    view = AlgebraView.of(g)
     rng = np.random.default_rng(params.seed)
-    Af, spec = to_float(A), verdict.grading.spec
-    return _build_recursive(view, Af, params, rng, verdict.grading, DilationAction(Af, spec=spec))
+    ball = NormBall(levels[-1].gram)
+    for level, below in zip(levels[-2::-1], levels[:0:-1]):
+        ball = _build_layered(level, below.action, ball, params, rng)
+    return ball
 
 
 def build_distance(g, A, *, params: BuildParams | None = None) -> "HomogeneousDistance":

@@ -166,6 +166,14 @@ def test_verify_box_certificate(capsys):
     assert rep["axioms"]["ok"]
 
 
+def test_verify_rejects_a_sample_count_below_one(capsys):
+    rc, _, err = run(
+        capsys, "verify", "--catalog", "heisenberg", "--derivation", "standard",
+        "--samples", "0",
+    )
+    assert rc == 2 and "--samples" in err
+
+
 def test_verify_euclidean(capsys):
     rc, out, _ = run(
         capsys, "verify", "--catalog", "r2", "--derivation", "double",

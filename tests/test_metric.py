@@ -12,8 +12,17 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from nilmetric import metric
-from nilmetric.algebra import LieAlgebra, abelian, check_automorphism, check_derivation, engel, heisenberg
+from nilmetric import grading, group, metric
+from nilmetric.algebra import (
+    LieAlgebra,
+    abelian,
+    algebra_from_json,
+    algebra_to_json,
+    check_automorphism,
+    check_derivation,
+    engel,
+    heisenberg,
+)
 from nilmetric.ball import _ray_radii
 from nilmetric.catalog import CATALOG
 from nilmetric.decompose import compact_closure_samples
@@ -330,7 +339,8 @@ def test_build_ball_caps_the_core_of_a_weight2_jordan_layer():
 
 def test_benchmark_builds_validate_each_cap_once(monkeypatch):
     # one convexity check per layered level with default BuildParams: the
-    # sampled cap estimate passes at once, so no build doubles its cap
+    # sampled cap estimate passes at once, so no build doubles its cap; a
+    # repeat build on the same algebra validates its ball again
     calls = []
     check = metric.verify_A_convexity
 
@@ -341,10 +351,13 @@ def test_benchmark_builds_validate_each_cap_once(monkeypatch):
     monkeypatch.setattr(metric, "verify_A_convexity", counted)
     counts = {}
     for name, (g, A) in FROZEN_CASES.items():
-        calls.clear()
-        build_ball(g, A)
-        counts[name] = len(calls)
-    assert counts == {"heisenberg": 1, "engel": 2, "free23": 2, "filiform-7": 5}
+        g = _fresh(g)
+        for build in ("cold", "warm"):
+            calls.clear()
+            build_ball(g, A)
+            counts[name, build] = len(calls)
+    want = {"heisenberg": 1, "engel": 2, "free23": 2, "filiform-7": 5}
+    assert counts == {(name, build): n for name, n in want.items() for build in ("cold", "warm")}
 
 
 CATALOG_YES = [
@@ -353,6 +366,101 @@ CATALOG_YES = [
     for op, yes in e.expected.get("classify", {}).items()
     if yes
 ]
+
+
+def _fresh(g):
+    """A copy of the algebra that shares no build plan with it."""
+    return algebra_from_json(algebra_to_json(g))
+
+
+@pytest.mark.parametrize("case", [*FROZEN_CASES, *(f"{e}:{op}" for e, op in CATALOG_YES)])
+def test_cold_warm_and_fresh_copy_builds_give_the_same_ball(case):
+    # the plan holds only what no sample touches: a build that makes it, one
+    # that reuses it and one on a copy of the algebra draw the same samples
+    entry, _, op = case.partition(":")
+    e = CATALOG.get(entry)
+    g, A = (e.algebra, e.derivations[op]) if op else FROZEN_CASES[case]
+    g = _fresh(g)
+    for seed in (1, 2):
+        params = BuildParams(seed=seed)
+        g._plans.clear()
+        cold = ball_to_json(build_ball(g, A, params=params))
+        assert ball_to_json(build_ball(g, A, params=params)) == cold
+        assert ball_to_json(build_ball(_fresh(g), A, params=params)) == cold
+
+
+def test_a_repeat_build_runs_only_its_sampled_stages(monkeypatch):
+    calls = []
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapped(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapped)
+
+    for owner, attr in ((group._Law, "__init__"), (metric, "tuned_norm"), (grading, "classify_derivation")):
+        counted(owner, attr)
+    params = BuildParams(convexity_samples=2000, cap_samples=2000)
+    for name, (g, A) in FROZEN_CASES.items():
+        g = _fresh(g)
+        calls.clear()
+        first = ball_to_json(build_ball(g, A, params=params))
+        assert {"__init__", "tuned_norm", "classify_derivation"} <= set(calls), name
+        calls.clear()
+        assert ball_to_json(build_ball(g, A, params=params)) == first
+        assert calls == [], name
+
+
+def test_build_plan_arrays_are_read_only():
+    g, A = _fresh(FROZEN_CASES["engel"][0]), np.diag([1.0, 1.0, 2.0, 3.0])
+    ball = build_ball(g, A, params=BuildParams(convexity_samples=2000, cap_samples=2000))
+    verdict, levels = metric._plan(g, A)
+    assert len(levels) == 3 and A.flags.writeable  # the caller's A is left alone
+    arrays = []
+    for level in levels:
+        arrays += [*vars(level).values(), *level.layer_maps, *vars(level.action).values(), *level.action.npows]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) > 30 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        ball.top_map[0, 0] = 1.0
+
+
+def test_exact_and_float_derivations_get_separate_plans():
+    g = heisenberg()
+    params = BuildParams(convexity_samples=2000, cap_samples=2000)
+    exact = ball_to_json(build_ball(g, as_exact([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), params=params))
+    floats = ball_to_json(build_ball(g, np.diag([1.0, 1.0, 2.0]), params=params))
+    build_ball(g, np.diag([1.0, 1.0, 2.0]), params=params)  # equal content, one plan
+    assert len(g._plans) == 2 and exact == floats
+
+
+def test_a_rejected_derivation_raises_the_same_verdict_twice():
+    g, A = abelian(2), np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(BuildRejected) as first:
+        build_ball(g, A)
+    with pytest.raises(BuildRejected) as second:
+        build_ball(g, A)
+    assert second.value.verdict is first.value.verdict and not first.value.verdict.answer
+    assert str(second.value) == str(first.value)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("field", ["convexity_samples", "cap_samples"])
+def test_build_params_reject_sample_counts_below_one(field, count):
+    with pytest.raises(ValueError, match=field):
+        BuildParams(**{field: count})
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sampled_checks_reject_sample_counts_below_one(count):
+    d = build_distance(R2, np.eye(2))
+    with pytest.raises(ValueError, match="samples"):
+        verify_A_convexity(d.ball, d.view, d.A, samples=count)
+    with pytest.raises(ValueError, match="samples"):
+        verify_axioms(d, d.view, d.A, samples=count)
 
 
 @functools.lru_cache(maxsize=None)
