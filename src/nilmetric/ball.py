@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group import _block_rows
-from .spectral import DilationAction, lambda_pow
+from .spectral import DilationAction, _dilation_factors, lambda_pow
 
 __all__ = [
     "NumericFailure",
@@ -318,6 +318,7 @@ def dilate_ball(ball, A, mu: float):
     """The image mu^A B of a ball under a dilation (mu > 0), for any A or its
     DilationAction: x is in mu^A B when mu^-A x is in B, so every map reading
     x is composed with Minv = mu^-A and a layered ball keeps its inner ball."""
+    _dilation_factors(mu)
     Minv = A.powers([1.0 / mu])[0] if isinstance(A, DilationAction) else lambda_pow(A, 1.0 / mu)
     if isinstance(ball, NormBall):
         return NormBall(Minv.T @ ball.gram @ Minv)

@@ -123,11 +123,11 @@ class _Poly(dict):
 class _Law:
     """x * y = x + y + sum_j coef_j monomial j, compiled from a tensor (object
     array) in a central series basis, where rows X have coordinates X @ into
-    and back maps those to X's own (none: X's own basis is the one).  A
-    product runs over blocks of `block` rows; a block's buffer holds the
-    coordinates of x, y in rows 0..2n-1 and monomial j in row 2n + j, row p
-    times row v for (p, v) = pairs[j]; terms are the nonzero (row,
-    coordinate, coefficient) of coef."""
+    and back maps those to X's own (none: X's own basis is the one, or
+    `_own_axes` folded it into pairs and coef).  A product runs over blocks
+    of `block` rows; a block's buffer holds the coordinates of x, y in rows
+    0..2n-1 and monomial j in row 2n + j, row p times row v for (p, v) =
+    pairs[j]; terms are the nonzero (row, coordinate, coefficient) of coef."""
 
     def __init__(self, tensor: np.ndarray, step: int, into=None, back=None):
         n, self.into = tensor.shape[0], into
@@ -180,16 +180,35 @@ class _Law:
 
 
 def _float_law(tensor: np.ndarray, step: int, series) -> _Law:
-    """The law in the orthonormal central series basis of `series` (walked
+    """The law in the orthonormal central series basis Q of `series` (walked
     here if None); the bracket entries the filtration forbids must be
-    rounding noise, and are set to 0."""
+    rounding noise, and are set to 0.  A Q that only permutes and signs the
+    axes, as in graded coordinates, is folded into the table (`_own_axes`)."""
     _, Q, deg = series or central_series_basis(tensor)
     T = np.einsum("ia,jb,ijk,kc->abc", Q, Q, tensor, Q)
     forced = deg[:, None, None] + deg[None, :, None] > deg[None, None, :]
     dropped = np.abs(T[forced]).max(initial=0.0)
     if dropped > _FILTRATION_TOL * max(1.0, np.abs(T).max(initial=0.0)):
         raise ValueError(f"structure tensor leaves its central series by {dropped:.1e}")
-    return _Law(np.where(forced, 0.0, T).astype(object), step, Q, Q.T)
+    return _own_axes(_Law(np.where(forced, 0.0, T).astype(object), step, Q, Q.T), Q)
+
+
+def _own_axes(law: _Law, Q: np.ndarray) -> _Law:
+    """law, compiled with into = Q, made to read X's own axes in place if Q only
+    permutes and signs them: each variable row reads its axis, and each
+    monomial's sign (its variables' signs multiplied) goes into its row of
+    coef, so the float operations, and the bits, are the same up to sign."""
+    if not (np.isin(Q, (-1.0, 0.0, 1.0)).all() and ((Q != 0).sum(axis=0) == 1).all()):
+        return law
+    n = Q.shape[0]
+    axis = np.tile(np.abs(Q).argmax(axis=0), 2) + np.repeat([0, n], n)
+    sign = list(np.tile(Q.sum(axis=0), 2))  # sign of each buffer row
+    for j, (p, v) in enumerate(law.pairs):
+        law.pairs[j] = (axis[p] if p < 2 * n else p, axis[v])
+        sign.append(sign[p] * sign[v])
+    law.into, law.coef = None, law.coef * np.array(sign[2 * n :])[:, None]
+    law.terms = [(r, k, c * sign[r]) for r, k, c in law.terms]
+    return law
 
 
 def _exact_law(g, step: int) -> _Law:
@@ -247,7 +266,7 @@ def dilate(g, A, lam: float, x, *, check: bool = True):
 class GroupOps:
     """The float group law of one structure tensor on (m, n) row batches (a
     one-row batch broadcasts).  Constructing one only checks the step: the
-    first `product` compiles the law (see `_Law`) in the tensor's
+    first `product` compiles the law (see `_float_law`) in the tensor's
     `central_series_basis`, given as `series` if the caller has it, and
     every later product reuses it."""
 

@@ -250,16 +250,18 @@ class DilationAction:
     batched application costs a few matrix products instead of one matrix
     exponential per sample; the eigenbasis behind the split has passed
     `_validate`, which bounds its conditioning.  spec is
-    `generalized_eigenspaces(A)` if the caller has it.
+    `generalized_eigenspaces(A)` if the caller has it.  A diagonal A (graded
+    coordinates) scales the columns of X: Pr = Prinv = I, real_a = diag A.
     """
 
     def __init__(self, A, spec: SpectralData | None = None):
         self.A = to_float(A)
         n = self.A.shape[0]
-        if spec is None:
+        self.diagonal = bool(np.isfinite(self.A).all() and not self.A[~np.eye(n, dtype=bool)].any())
+        if spec is None and not self.diagonal:
             spec = generalized_eigenspaces(self.A)
         # the nilpotent part of A
-        self.N = N = self.A - spectral_map(self.A, lambda a: a, spec)
+        self.N = N = np.zeros((n, n)) if self.diagonal else self.A - spectral_map(self.A, lambda a: a, spec)
         scale = max(1.0, float(np.linalg.norm(self.A, 2)))
         pows = [np.eye(n)]
         if np.linalg.norm(N, 2) > 1e-12 * scale:
@@ -274,10 +276,12 @@ class DilationAction:
         cols: list[np.ndarray] = []
         real_idx: list[int] = []
         real_a: list[float] = []
+        if self.diagonal:  # the axes, in their own order
+            cols, real_idx, real_a = list(np.eye(n)), list(range(n)), list(self.A.diagonal())
         pair_idx: list[int] = []
         pair_a: list[float] = []
         pair_b: list[float] = []
-        for c in spec.clusters:
+        for c in () if self.diagonal else spec.clusters:
             if abs(c.value.imag) <= 0:
                 real_idx.extend(range(len(cols), len(cols) + c.multiplicity))
                 real_a.extend([c.value.real] * c.multiplicity)
@@ -301,11 +305,9 @@ class DilationAction:
     def apply(self, mus, X: np.ndarray) -> np.ndarray:
         """Rows of X scaled by mus[i]^A (mus scalar or per-row array)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        mus = np.asarray(mus, dtype=float)
+        mus = _dilation_factors(mus)
         if mus.ndim == 0:
             mus = np.full(X.shape[0], float(mus))
-        if np.any(mus <= 0):
-            raise ValueError("dilation parameters must be positive")
         return self._dilate(np.log(mus), X)
 
     def powers(self, mus) -> np.ndarray:
@@ -319,7 +321,18 @@ class DilationAction:
     def _dilate(self, logm: np.ndarray, X: np.ndarray, logscale=None) -> np.ndarray:
         """Rows of X times e^(logm[i] A), and times e^(logscale[i]) when
         given; then every factor is formed in log space, so nothing
-        overflows or turns 0 * inf into NaN that the result does not."""
+        overflows or turns 0 * inf into NaN that the result does not.
+        X is left as it is."""
+
+        def scaled(v, weights):
+            logf = np.outer(logm, weights)
+            if logscale is None:
+                return np.multiply(v, np.exp(logf, out=logf), out=logf)
+            with np.errstate(divide="ignore"):
+                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v, out=logf)
+
+        if self.diagonal:
+            return scaled(X, self.real_a)
         Y = X
         if len(self.npows) > 1:
             Y = np.zeros_like(X)
@@ -329,16 +342,8 @@ class DilationAction:
                     fac = fac * logm / j
                 Y += fac[:, None] * (X @ Nj.T)
         xi = Y @ self.Prinv.T
-
-        def scaled(v, weights, out=None):
-            logf = np.outer(logm, weights)
-            if logscale is None:
-                return np.multiply(v, np.exp(logf, out=logf), out=out)
-            with np.errstate(divide="ignore"):
-                return np.copysign(np.exp(np.log(np.abs(v)) + logf + logscale[:, None]), v, out=out)
-
         if not self.pair_idx.size:  # a real spectrum: real_idx is 0..n-1 in order
-            return scaled(xi, self.real_a, out=xi) @ self.Pr.T
+            return scaled(xi, self.real_a) @ self.Pr.T
         out = np.empty_like(xi)
         if self.real_idx.size:
             out[:, self.real_idx] = scaled(xi[:, self.real_idx], self.real_a)
@@ -359,11 +364,19 @@ class DilationAction:
         return float(np.concatenate([self.real_a, self.pair_a]).min())
 
 
+def _dilation_factors(mus) -> np.ndarray:
+    """mus as floats; ValueError naming a factor not finite and positive."""
+    mus = np.asarray(mus, dtype=float)
+    bad = mus[~(np.isfinite(mus) & (mus > 0))]
+    if bad.size:
+        raise ValueError(f"dilation factors must be finite and positive, got {bad.flat[0]}")
+    return mus
+
+
 def lambda_pow(A, lam: float) -> np.ndarray:
-    """lam^A = exp(log(lam) * A) for lam > 0, float backend, from the
+    """lam^A = exp(log(lam) * A) for finite lam > 0, float backend, from the
     split that `DilationAction` makes."""
-    if lam <= 0:
-        raise ValueError("dilation parameter must be positive")
+    _dilation_factors(lam)
     if lam == 1.0:
         return np.eye(np.shape(A)[0])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -416,6 +416,35 @@ def test_law_output_is_the_same_for_every_block_size(make):
         assert np.array_equal(ops.product(X[:rows], Y[:rows]), want[:rows]), block
 
 
+@pytest.mark.parametrize("make", [heisenberg, engel, _free23, _filiform7])
+def test_law_on_its_own_axes_is_the_change_of_basis_bit_for_bit(make):
+    # a central series basis that only permutes and signs the axes is folded
+    # into the compiled table: the law makes no change of basis, and its
+    # products are those of the unfolded table, bit for bit, for a batch
+    # and for one row
+    g = make()
+    _, Q, _ = group.central_series_basis(g.tensor)
+    T = np.einsum("ia,jb,ijk,kc->abc", Q, Q, g.tensor, Q)  # no rounding: Q is a signed permutation
+    unfolded = group._Law(T.astype(object), g.nilpotency_step(), Q, Q.T)
+    law = GroupOps(g.tensor, g.nilpotency_step())._compiled()
+    assert law.into is None and unfolded.into is not None
+    rng = np.random.default_rng(45)
+    scale = np.geomspace(1e-4, 1e4, 5000)[:, None]
+    X, Y = rng.normal(size=(5000, g.dim)) * scale, rng.normal(size=(5000, g.dim)) * scale
+    assert np.array_equal(law.apply(X, Y), unfolded.apply(X, Y))
+    for i in range(0, 5000, 500):
+        assert np.array_equal(law.apply(X[i : i + 1], Y[i : i + 1]), unfolded.apply(X[i : i + 1], Y[i : i + 1]))
+
+
+def test_law_keeps_a_dense_change_of_basis():
+    # a rotated tensor's central series basis mixes the axes: its law keeps
+    # its change of basis
+    g = _free23()
+    P, _ = np.linalg.qr(np.random.default_rng(46).normal(size=(5, 5)))
+    rotated = np.einsum("ia,jb,ijk,kc->abc", P, P, g.tensor, P)
+    assert GroupOps(rotated, 3)._compiled().into is not None
+
+
 def test_group_ops_refuses_a_tensor_off_its_central_series():
     # [e1, e2] = e4, [e1, e3] = e5, [e4, e5] = e6 breaks Jacobi: e4 and e5 lie
     # in g^2, but their bracket only in g^3, not g^4; it is refused, not snapped

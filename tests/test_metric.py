@@ -216,6 +216,9 @@ def test_build_ball_in_changed_bases(name, seed):
     g, A = FROZEN_CASES[name]
     g2, A2 = _changed_basis(g, A, seed)
     build_ball(g2, A2, params=BuildParams(convexity_samples=2000, cap_samples=2000))
+    # the dense basis keeps the top level's changes of basis
+    top = metric._plan(g2, A2)[1][0]
+    assert top.view.ops()._compiled().into is not None and not top.action.diagonal
     theta = default_theta(classify_derivation(g, A).grading.weights, general_top=True)
     tn = tuned_norm(g.dim, A2, theta)
     assert tn.epsilon == tuned_norm(g.dim, A, theta).epsilon
@@ -358,6 +361,17 @@ def test_benchmark_builds_validate_each_cap_once(monkeypatch):
             counts[name, build] = len(calls)
     want = {"heisenberg": 1, "engel": 2, "free23": 2, "filiform-7": 5}
     assert counts == {(name, build): n for name, n in want.items() for build in ("cold", "warm")}
+
+
+def test_benchmark_plans_take_the_coordinate_fast_paths():
+    # every level of the benchmark builds is in graded coordinates: its
+    # dilation scales columns and its group law reads the algebra's own axes
+    for name, (g, A) in FROZEN_CASES.items():
+        levels = metric._plan(_fresh(g), A)[1]
+        assert len(levels) == {"heisenberg": 2, "engel": 3, "free23": 3, "filiform-7": 6}[name]
+        for level in levels:
+            assert level.action.diagonal, (name, level.view.dim)
+            assert level.view.ops()._compiled().into is None, (name, level.view.dim)
 
 
 CATALOG_YES = [

@@ -166,32 +166,86 @@ def _dilate_by_gather(act, logm, X, logscale=None):
 
 
 @pytest.mark.parametrize(
-    "weights, nilpotent",
-    [("112", False), ("1123", False), ("11233", False), ("1123456", False), ("1123", True), ("SPIRAL", False)],
+    "weights, form",
+    [
+        ("112", False),
+        ("1123", False),
+        ("11233", False),
+        ("1123456", False),
+        ("1123", True),
+        ("SPIRAL", False),
+        ("112", "diagonal"),
+        ("1123456", "diagonal"),
+    ],
 )
-def test_dilate_of_a_real_spectrum_scales_in_place(weights, nilpotent):
+def test_dilate_of_a_real_spectrum_scales_in_place(weights, form):
     # a real spectrum scales its eigen-coordinates in place, in their own
     # order; that is the general path bit for bit, with and without the
-    # log-space scale, in a random basis and with a nilpotent part; the
-    # spiral's complex pair keeps the general path
+    # log-space scale, in a random basis (form False) and with a nilpotent
+    # part (form True); the spiral's complex pair keeps the general path;
+    # a diagonal A, in no other basis, scales the columns of X
     rng = np.random.default_rng(41)
     if weights == "SPIRAL":
         A = SPIRAL
     else:
-        D = np.diag([float(w) for w in weights])
-        if nilpotent:
+        A = D = np.diag([float(w) for w in weights])
+        if form is True:
             D[0, 1] = 0.7  # a Jordan block at weight 1
-        P = np.eye(len(weights)) + 0.3 * rng.normal(size=D.shape)
-        A = P @ D @ np.linalg.inv(P)
+        if form != "diagonal":
+            P = np.eye(len(weights)) + 0.3 * rng.normal(size=D.shape)
+            A = P @ D @ np.linalg.inv(P)
     act = DilationAction(A)
     assert (act.pair_idx.size > 0) == (weights == "SPIRAL")
-    assert (len(act.npows) > 1) == nilpotent
+    assert (len(act.npows) > 1) == (form is True)
+    assert act.diagonal == (form == "diagonal")
     X = rng.normal(size=(500, A.shape[0]))
     X[:7] = 0.0  # zero rows, whose logs are -inf
+    X.flags.writeable = False  # the action leaves X alone
     logm = rng.normal(size=500) * 3.0
     logscale = rng.normal(size=500)
     for ls in (None, logscale):
         assert np.array_equal(act._dilate(logm, X, ls), _dilate_by_gather(act, logm, X, ls))
+
+
+def test_only_a_diagonal_A_scales_columns():
+    # an A with any nonzero entry off its diagonal keeps the eigenbasis path
+    for A, diagonal in (
+        (np.diag([1.0, 2.0, 0.5]), True),
+        (SPIRAL, False),
+        (np.eye(3) + np.eye(3, k=1), False),  # a Jordan block
+        (np.array([[1.0, 0.0], [1e-300, 2.0]]), False),
+    ):
+        act = DilationAction(A)
+        assert act.diagonal == diagonal
+        for mu in (1e-3, 0.7, 40.0):
+            want = scipy.linalg.expm(math.log(mu) * A)
+            err = np.abs(act.apply(mu, np.eye(len(A))) - want.T).max()
+            assert err <= 1e-11 * np.abs(want).max(), (mu, err)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+def test_dilation_factors_must_be_finite_and_positive(bad):
+    # each entry point refuses the factor with one ValueError naming it,
+    # before any NaN, overflow or warning can arise
+    import warnings
+
+    from nilmetric.ball import NormBall, dilate_ball
+
+    for A in (np.diag([1.0, 1.0, 2.0]), SPIRAL):
+        act, n = DilationAction(A), A.shape[0]
+        calls = (
+            lambda: act.apply(bad, np.ones((3, n))),
+            lambda: act.apply([1.0, bad, 2.0], np.ones((3, n))),
+            lambda: act.powers([2.0, bad]),
+            lambda: lambda_pow(A, bad),
+            lambda: dilate_ball(NormBall(np.eye(n)), act, bad),
+            lambda: dilate_ball(NormBall(np.eye(n)), A, bad),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match=f"finite and positive, got {bad}$"):
+                    call()
 
 
 def test_lambda_pow_exact_rational():
