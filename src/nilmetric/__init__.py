@@ -37,6 +37,7 @@ _EXPORTS = {
         "rototranslation",
     ),
     "ball": (
+        "Ball",
         "BuildRejected",
         "LayeredBall",
         "NormBall",

@@ -3,10 +3,12 @@
 The unit ball of a homogeneous distance is characterized by three
 properties: compact with the identity interior, symmetric, and closed
 under the two-point dilation average (lam^A x) * ((1-lam)^A y).  A ball
-here is a set only, one of three variants: a norm ball, a polytope, or
-a layered ball (a cap on a top subspace plus a recursive ball on the
-quotient), which is what `metric.build_ball` constructs.  Membership and
-the excess over the boundary are vectorized over batches of points.
+here is a set only, stored in one flat form (`Ball`): round levels
+{|W_i x|_2 <= c_i} and at most one polytope base.  There are three
+kinds of it: a norm ball, a polytope, and a layered ball (a cap on a top
+subspace plus a recursive ball on the quotient), which is what
+`metric.build_ball` constructs.  Membership and the excess over the
+boundary are vectorized over batches of points.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .spectral import DilationAction, _dilation_factors, lambda_pow
 __all__ = [
     "NumericFailure",
     "BuildRejected",
+    "Ball",
     "NormBall",
     "PolyBall",
     "LayeredBall",
@@ -45,7 +48,7 @@ class BuildRejected(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Ball variants
+# Balls
 #
 # Each ball's excess(x) + 1 is its Minkowski functional, positively
 # 1-homogeneous in x (excess(r x) + 1 = r (excess(x) + 1) for r >= 0);
@@ -53,15 +56,17 @@ class BuildRejected(ValueError):
 # `distance.sphere_polyline`.  A ball is a set only: the derivation that
 # dilates it belongs to the distance (`HomogeneousDistance.A`) or is
 # passed to `dilate_ball`, so one ball can serve more than one
-# derivation.  Every ball has one flat form (`_flat_form`): levels
-# {|W_i x|_2 <= c_i} and at most one polytope base on W_b x, read off a
-# LayeredBall's chain of projections once and kept on it.  Membership
-# tests each level against its cap, `metric.sample_in_ball` draws each
-# level's round ball (and the base from the parallelepiped of n
-# independent rows) and maps the draws by F = W^-T in one product, and
-# `distance._gauge_terms` splits the gauge by level.  A test is one
-# product and a norm per level; it and a PolyBall's support run over
-# blocks of rows (`_by_blocks`).
+# derivation.  Every ball is a `Ball` and stores its flat form when it is
+# made: levels {|W_i x|_2 <= c_i}, at most one polytope base on W_b x,
+# and F = W^-T where W is square and invertible.  A NormBall is one
+# level, a PolyBall its own base on W = I, and a LayeredBall composes its
+# chain of projections into W once.  Membership tests each level against
+# its cap, `metric.sample_in_ball` draws each level's round ball (and the
+# base from the parallelepiped of n independent rows) and maps the draws
+# by F in one product, and `distance._gauge_terms` splits the gauge by
+# level, all from these attributes.  A test is one product and a norm per
+# level; it and a PolyBall's support run over blocks of rows
+# (`_by_blocks`).
 # ---------------------------------------------------------------------------
 
 
@@ -84,30 +89,73 @@ def _by_blocks(fn, rows: int, *arrays) -> np.ndarray:
     return out
 
 
-class NormBall:
-    """{x : x^T gram x <= 1} for a symmetric positive definite gram;
-    excess(x) + 1 = sqrt(x^T gram x)."""
+class Ball:
+    """{x : |W_i x|_2 <= caps[i] for every level i, and W_b x in base}, with
+    W_i the rows starts[i]:starts[i + 1] of W and W_b its rows from
+    starts[-1] (none when base is None); base is a PolyBall and F = W^-T
+    (None when W is not square or is singular, which membership does not
+    need and sampling does).
+
+    excess(x) + 1 = max(max_i |W_i x| / caps[i], base.excess(W_b x) + 1),
+    evaluated in one product with W and a norm per level.
+    """
+
+    def __init__(self, W, starts, caps, base=None, F=None):
+        self.W, self.starts, self.caps, self.base, self.F = W, starts, caps, base, F
+        self.dim = W.shape[1]
+        self._block = _block_rows(W.shape[0])  # rows of X per product with W
+
+    def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
+        return _by_blocks(lambda Y: self._contains(Y, slack), self._block, np.atleast_2d(X))
+
+    def excess(self, X: np.ndarray) -> np.ndarray:
+        return _by_blocks(self._excess, self._block, np.atleast_2d(X))
+
+    def _contains(self, X: np.ndarray, slack: float) -> np.ndarray:
+        norms, Yb = self._levels(X)
+        ok = (norms <= (self.caps * (1.0 + slack))[:, None]).all(axis=0)
+        return ok if Yb is None else ok & self.base.contains(Yb, slack)
+
+    def _excess(self, X: np.ndarray) -> np.ndarray:
+        norms, Yb = self._levels(X)
+        top = np.max(norms / self.caps[:, None], axis=0) - 1.0
+        return top if Yb is None else np.maximum(top, self.base.excess(Yb))
+
+    def _levels(self, X: np.ndarray):
+        """(norms, Yb): the norm of each level's coordinates of every row of
+        X, shape (levels, rows), and the base's coordinates of X (None: no
+        base)."""
+        starts, caps = self.starts, self.caps
+        YT = self.W @ X.T
+        sq = YT[: starts[-1]] * YT[: starts[-1]]
+        norms = np.empty((caps.size, YT.shape[1]))
+        for i in range(caps.size):  # a loop over the levels beats one reduceat
+            np.add.reduce(sq[starts[i] : starts[i + 1]], axis=0, out=norms[i])
+        np.sqrt(norms, out=norms)
+        return norms, None if self.base is None else YT[starts[-1] :].T
+
+
+class NormBall(Ball):
+    """{x : x^T gram x <= 1} for a symmetric positive definite gram: the one
+    level L^T of cap 1, with gram = L L^T, so excess(x) + 1 = |L^T x|.  A
+    gram that is not positive definite bounds no ball and is refused."""
 
     kind = "norm"
 
     def __init__(self, gram: np.ndarray):
         self.gram = np.asarray(gram, dtype=float)
-        self.dim = self.gram.shape[0]
+        try:
+            L = np.linalg.cholesky((self.gram + self.gram.T) / 2.0)
+        except np.linalg.LinAlgError:
+            raise ValueError("the gram is not positive definite; the ball is unbounded") from None
+        super().__init__(L.T, np.array([0, L.shape[0]]), np.ones(1), None, np.linalg.inv(L))
 
-    def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        X = np.atleast_2d(X)
-        q = np.einsum("mi,ij,mj->m", X, self.gram, X)
-        return q <= (1.0 + slack) ** 2
-
-    def excess(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        q = np.einsum("mi,ij,mj->m", X, self.gram, X)
-        return np.sqrt(np.maximum(q, 0.0)) - 1.0
+    contains = Ball.contains  # each kind's own attribute, so a tracer can wrap one kind's test
 
 
-class PolyBall:
+class PolyBall(Ball):
     """{x : |row . x| <= 1 for every row}; covers sup-norm boxes;
-    excess(x) + 1 = max_i |row_i . x|.
+    excess(x) + 1 = max_i |row_i . x|, the ball being its own base on W = I.
 
     That maximum, `support`, is the support function of conv(+-rows).
     When the rows span R^2 the ball reads it off the vertices of that
@@ -118,7 +166,8 @@ class PolyBall:
 
     def __init__(self, rows: np.ndarray):
         self.rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        self.dim = self.rows.shape[1]
+        I = np.eye(self.rows.shape[1])
+        super().__init__(I, np.zeros(1, dtype=int), np.empty(0), self, I)
         self._polygon = None  # False once known to take the row maximum
 
     def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
@@ -216,17 +265,17 @@ def _polar_polygon(rows: np.ndarray):
     return (s / s[0])[:, None] * Vt, theta, padded[:, 0].copy(), padded[:, 1].copy()
 
 
-class LayeredBall:
+class LayeredBall(Ball):
     """Cap on a top subspace plus a recursive ball on the quotient.
 
     Membership: ||top_map @ x||_2 <= cap  and  inner.contains(proj @ x);
-    excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1),
-    evaluated in one pass over every level of its flat form
-    (`_flat_form`).  A built ball's top_map rows are the capped
-    subspace's coordinates in the tuned inner product and proj maps to
-    tuned-orthonormal quotient coordinates; [top_map; proj] is square and
-    invertible, which sampling needs and membership does not.  The ball
-    holds no derivation.
+    excess(x) + 1 = max(||top_map @ x||_2 / cap, inner.excess(proj @ x) + 1).
+    Its flat form stacks top_map on the inner ball's rows times proj, the
+    recursion's maps composed once, when it is made.  A built ball's
+    top_map rows are the capped subspace's coordinates in the tuned inner
+    product and proj maps to tuned-orthonormal quotient coordinates;
+    [top_map; proj] is square and invertible, which sampling needs and
+    membership does not.  The ball holds no derivation.
     """
 
     kind = "layered"
@@ -236,77 +285,18 @@ class LayeredBall:
         self.cap = float(cap)
         self.proj = np.atleast_2d(np.asarray(proj, dtype=float))
         self.inner = inner
-        self.dim = self.top_map.shape[1]
-        self._form = None  # its `_flat_form`, made on first use
+        W = np.vstack([self.top_map, inner.W @ self.proj])
+        try:  # raises for a W that is not square, too
+            F = np.linalg.inv(W).T
+        except np.linalg.LinAlgError:
+            F = None
+        starts = np.concatenate([[0], self.top_map.shape[0] + inner.starts])
+        super().__init__(W, starts, np.concatenate([[self.cap], inner.caps]), inner.base, F)
 
-    def contains(self, X: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        return self._over_blocks(self._contains, X, slack)
-
-    def excess(self, X: np.ndarray) -> np.ndarray:
-        return self._over_blocks(self._excess, X)
-
-    def _over_blocks(self, fn, X: np.ndarray, *args) -> np.ndarray:
-        """fn(rows, *args) over blocks of X sized for the flat form."""
-        rows = _block_rows(_flat_form(self)[0].shape[0])
-        return _by_blocks(lambda Y: fn(Y, *args), rows, np.atleast_2d(X))
-
-    def _contains(self, X: np.ndarray, slack: float) -> np.ndarray:
-        norms, caps, base, Yb = self._levels(X)
-        ok = (norms <= (caps * (1.0 + slack))[:, None]).all(axis=0)
-        return ok if base is None else ok & base.contains(Yb, slack)
-
-    def _excess(self, X: np.ndarray) -> np.ndarray:
-        norms, caps, base, Yb = self._levels(X)
-        top = np.max(norms / caps[:, None], axis=0) - 1.0
-        return top if base is None else np.maximum(top, base.excess(Yb))
-
-    def _levels(self, X: np.ndarray):
-        """(norms, caps, base, Yb): the norm of each level's coordinates of
-        every row of X, shape (levels, rows), the levels' caps, and the
-        PolyBall base with its coordinates of X (None, None: no base)."""
-        W, starts, caps, base, _ = _flat_form(self)
-        YT = W @ X.T
-        sq = YT[: starts[-1]] * YT[: starts[-1]]
-        norms = np.empty((caps.size, YT.shape[1]))
-        for i in range(caps.size):  # a loop over the levels beats one reduceat
-            np.add.reduce(sq[starts[i] : starts[i + 1]], axis=0, out=norms[i])
-        np.sqrt(norms, out=norms)
-        return norms, caps, base, None if base is None else YT[starts[-1] :].T
+    contains = Ball.contains  # each kind's own attribute, as on NormBall
 
     def with_cap(self, cap: float) -> "LayeredBall":
         return LayeredBall(self.top_map, cap, self.proj, self.inner)
-
-
-def _flat_form(ball):
-    """(W, starts, caps, base, F) with ball = {x : |W_i x|_2 <= caps[i] for
-    every level i, and W_b x in base}, W_i the rows starts[i]:starts[i + 1]
-    of W and W_b its rows from starts[-1] (none when base is None), and
-    F = W^-T (None when W is not square or is singular).
-
-    A NormBall {x^T L L^T x <= 1} is one level, L^T of cap 1; a PolyBall
-    is its own base on W = I.  A LayeredBall's rows are top_map, then its
-    inner ball's rows times proj: the recursion's maps composed once and
-    kept on the ball, with F, from its first use."""
-    if isinstance(ball, NormBall):
-        L = np.linalg.cholesky((ball.gram + ball.gram.T) / 2.0)
-        return L.T, np.array([0, ball.dim]), np.ones(1), None, np.linalg.inv(L)
-    if isinstance(ball, PolyBall):
-        I = np.eye(ball.dim)
-        return I, np.zeros(1, dtype=int), np.empty(0), ball, I
-    if not isinstance(ball, LayeredBall):
-        raise TypeError(f"a ball of type {type(ball).__name__} has no flat form")
-    if ball._form is None:
-        W, starts, caps, base, _ = _flat_form(ball.inner)
-        W = np.vstack([ball.top_map, W @ ball.proj])
-        F = None
-        if W.shape[0] == W.shape[1]:
-            try:
-                F = np.linalg.inv(W).T
-            except np.linalg.LinAlgError:
-                pass
-        starts = np.concatenate([[0], ball.top_map.shape[0] + starts])
-        ball._form = W, starts, np.concatenate([[ball.cap], caps]), base, F
-    return ball._form
 
 
 def box_ball(n: int = 2) -> PolyBall:

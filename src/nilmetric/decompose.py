@@ -35,7 +35,9 @@ from .distance import (
 from .exact import to_float
 from .grading import classify_automorphism
 from .group import AlgebraView
-from .spectral import DilationAction, generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
+from .spectral import (
+    DilationAction, _dilation_factor, generalized_eigenspaces, lambda_pow, log_unipotent, spectral_map
+)
 
 __all__ = [
     "DilationDecomposition",
@@ -78,8 +80,7 @@ def decompose_automorphism(g: LieAlgebra, phi, lam: float) -> DilationDecomposit
     the sizes, and the unipotent remainder's logarithm the nilpotency;
     A is their sum divided by log(lam).
     """
-    if lam <= 0 or lam == 1.0:
-        raise ValueError("dilation factor must be positive and != 1")
+    lam = _dilation_factor(lam)
     Pf = to_float(phi)
     chk = check_automorphism(g, Pf)
     if not chk:
@@ -327,8 +328,7 @@ def realify(
     whose derivation commutes with A, `SupOverDilations` otherwise.
     """
     Df = to_float(delta)
-    if lam <= 0 or lam == 1.0:
-        raise ValueError("dilation factor must be positive and != 1")
+    lam = _dilation_factor(lam)
     if lam < 1:
         # orient so the rebalancing interval [1, lam] makes sense
         Df = np.linalg.inv(Df)

@@ -19,23 +19,22 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .ball import (
-    LayeredBall,
-    NormBall,
+    Ball,
     NumericFailure,
     PolyBall,
     _by_blocks,
-    _flat_form,
     _independent_rows,
     _ray_radii,
     ball_to_json,
 )
 from .exact import to_float
 from .group import AlgebraView
-from .spectral import DilationAction
+from .spectral import DilationAction, _dilation_factor
 
 __all__ = [
     "MetricFunction",
@@ -114,28 +113,34 @@ def _near(X, Y, scale) -> bool:
     return float(np.linalg.norm(X - Y)) <= _CONFORMAL_RTOL * float(scale)
 
 
+def _norm_size(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """|R x| per row of X, the 2-norm scaled by the largest entry so that it
+    cannot underflow."""
+    Y = X @ R.T
+    size = np.abs(Y).max(axis=1)
+    return size * np.linalg.norm(Y / np.where(size > 0, size, 1.0)[:, None], axis=1)
+
+
 def _gauge_terms(ball, A: np.ndarray):
     """Split the gauge of ball for the derivation A into per-level terms
     whose maximum is N.
 
-    The ball is the intersection of the levels of its flat form
-    (`ball._flat_form`), {|W_i x| <= c_i} and the base {W_b x in base},
-    each an up-set in mu, so N is the maximum of the levels' gauges when
-    A induces a map on every level's coordinates: W_i A = M W_i, read off
-    as M = W_i A W_i^+.  A level has a closed form when M acts on it
+    The ball is the intersection of the levels of its flat form (see
+    `ball.Ball`), {|W_i x| <= c_i} and the base {W_b x in base}, each an
+    up-set in mu, so N is the maximum of the levels' gauges when A induces
+    a map on every level's coordinates: W_i A = M W_i, read off as
+    M = W_i A W_i^+.  A level has a closed form when M acts on it
     conformally: M + M^T = 2t I for a round level (N = (|W_i x| / c_i)^(1/t)),
     M = t I for the base (N = max_j |r_j . W_b x|^(1/t)); any other level
     is solved on its own, for M.  If some level is not invariant under A,
-    or the ball is one level that is not closed or of another type, the
-    whole ball is solved, for A.  Returns (closed, solved): closed terms
-    (R, t) mean N = |R x|^(1/t), in the 2-norm for a matrix R and the
-    support function for a PolyBall R; solved terms (ball, A, P) go to the
-    Illinois solver on the coordinates P x.
+    or the ball is one level that is not closed, the whole ball is solved,
+    for A.  Returns (closed, solved): closed terms (size, t) mean
+    N = size(x)^(1/t), with size the scaled 2-norm of R x for a round level
+    and the support function of the mapped rows for the base; solved terms
+    (ball, A, P) go to the Illinois solver on the coordinates P x.
     """
     whole = [], [(ball, A, np.eye(A.shape[0]))]
-    if not isinstance(ball, (NormBall, PolyBall, LayeredBall)):
-        return whole
-    W, starts, caps, base, _ = _flat_form(ball)
+    W, starts, caps, base = ball.W, ball.starts, ball.caps, ball.base
     levels = [(W[lo:hi], c) for lo, hi, c in zip(starts, starts[1:], caps)]
     if base is not None:
         levels.append((W[starts[-1] :], base))
@@ -149,13 +154,13 @@ def _gauge_terms(ball, A: np.ndarray):
         t = float(np.trace(M)) / k
         if c is base:
             if _near(M, t * np.eye(k), np.linalg.norm(M)):
-                closed.append((PolyBall(base.rows @ Wi), t))
+                closed.append((PolyBall(base.rows @ Wi).support, t))
             else:
                 solved.append((base, M, Wi))
         elif _near(M + M.T, 2.0 * t * np.eye(k), np.linalg.norm(M)):
-            closed.append((Wi / c, t))
+            closed.append((partial(_norm_size, Wi / c), t))
         else:
-            solved.append((NormBall(np.eye(k) / c**2), M, Wi))
+            solved.append((Ball(np.eye(k), np.array([0, k]), np.array([c])), M, Wi))
     return whole if len(levels) == 1 and solved else (closed, solved)
 
 
@@ -277,16 +282,18 @@ class HomogeneousDistance(MetricFunction):
         self.dim = view.dim
         if self.action.min_weight <= 0:
             raise ValueError("a dilation gauge needs every eigenvalue of A in Re > 0")
-        if isinstance(ball, PolyBall):
-            rank = len(_independent_rows(ball.rows))
+        base, top = ball.base, ball.starts[-1]
+        # an inverse of W proves the ball bounded; otherwise its round rows
+        # and the base's rows, read on x, must span R^n
+        if ball.F is None or base is not None:
+            rows = ball.W[:top] if base is None else np.vstack([ball.W[:top], base.rows @ ball.W[top:]])
+            rank = len(_independent_rows(rows))
             if rank < self.dim:
-                raise ValueError(
-                    f"polytope rows have rank {rank} < {self.dim}; the ball is unbounded"
-                )
-            # a plane polytope answers from three hull vertices per row; any
-            # other holds R / dim floats per row of input for its R rows
-            if self.dim != 2:
-                self.stack_factor = -(-ball.rows.shape[0] // self.dim)
+                raise ValueError(f"the ball's rows have rank {rank} < {self.dim}; the ball is unbounded")
+        # a plane polytope answers from three hull vertices per row; any
+        # other holds R / dim floats per row of input for its R rows
+        if base is not None and self.dim != 2:
+            self.stack_factor = -(-base.rows.shape[0] // self.dim)
         self._closed, solved = _gauge_terms(ball, self.A)
         self._solved = [
             (b, self.action if A_level is self.A else DilationAction(A_level), P)
@@ -329,14 +336,8 @@ class HomogeneousDistance(MetricFunction):
         logm = np.log(m[live])
         logN = np.full(Xn.shape[0], -np.inf)
         with np.errstate(divide="ignore"):
-            for R, t in self._closed:
-                if isinstance(R, PolyBall):
-                    size = R.support(Xn)
-                else:  # the 2-norm scaled by the largest entry cannot underflow
-                    Y = Xn @ R.T
-                    size = np.abs(Y).max(axis=1)
-                    size = size * np.linalg.norm(Y / np.where(size > 0, size, 1.0)[:, None], axis=1)
-                logN = np.maximum(logN, (logm + np.log(size)) / t)
+            for size, t in self._closed:
+                logN = np.maximum(logN, (logm + np.log(size(Xn))) / t)
         counts = self._counts
         solved = np.zeros(Xn.shape[0], dtype=bool)
         for ball, action, P in self._solved:
@@ -397,11 +398,10 @@ class SupOverDilations(MetricFunction):
     """d''(x, y) = max over a geometric mu-grid of d(mu^A x, mu^A y) / mu."""
 
     def __init__(self, base: MetricFunction, A, lam: float, grid: int = 48):
-        if lam <= 1:
-            raise ValueError("sup-dilation rebalancing needs lambda > 1")
+        lam = _dilation_factor(lam, expanding=True)
         self.base = base
         self.A = to_float(A)
-        self.lam = float(lam)
+        self.lam = lam
         self.action = DilationAction(self.A)
         # geometric grid on [1, lam); mu = lam wraps to mu = 1 exactly
         self.mus = np.geomspace(1.0, lam, grid, endpoint=False)
@@ -428,10 +428,10 @@ def averaged_distance(d: MetricFunction, K_samples: list[np.ndarray]) -> MetricF
     grid and closure samples, so that this one maximum is also its
     supremum over dilations.  Maps equal to 12 decimals count once; when
     only the identity is left, the result is d itself.  When d is the
-    gauge distance of a polytope ball and every map commutes with its
-    derivation, the maximum collapses exactly to the gauge of the
-    intersection of the mapped polytopes: one gauge per row instead of
-    one per map.  Zero rows, and rows that repeat up to sign, drop at 12
+    gauge distance of a polytope ball (a flat form with no round level)
+    and every map commutes with its derivation, the maximum collapses
+    exactly to the gauge of the intersection of the mapped polytopes: one
+    gauge per row instead of one per map.  Zero rows, and rows that repeat up to sign, drop at 12
     decimals of the largest row norm, so the intersection is the same
     at every scale of the ball.
     """
@@ -443,13 +443,13 @@ def averaged_distance(d: MetricFunction, K_samples: list[np.ndarray]) -> MetricF
         return d
     if (
         isinstance(d, HomogeneousDistance)
-        and isinstance(d.ball, PolyBall)
+        and d.ball.caps.size == 0
         and np.all(
             np.linalg.norm(mats @ d.A - d.A @ mats, 2, axis=(1, 2))
             <= 1e-9 * max(1.0, np.linalg.norm(d.A, 2))
         )
     ):
-        rows = (d.ball.rows @ mats).reshape(-1, n)
+        rows = (d.ball.base.rows @ d.ball.W @ mats).reshape(-1, n)
         # |r.x| <= 1 is sign-symmetric, so antipodal rows are duplicates
         canon = rows / np.linalg.norm(rows, axis=1).max()
         nz = np.abs(canon) > 1e-12
@@ -488,8 +488,7 @@ def bilipschitz_constants(
     d2 <= L2 d1 pointwise on a fresh sample.  Points are normal with
     standard deviation 2.
     """
-    if lam <= 1:
-        raise ValueError("common dilation factor must be > 1")
+    lam = _dilation_factor(lam, expanding=True)
     rng = np.random.default_rng(seed)
     Df = to_float(delta)
     n = Df.shape[0]

@@ -24,6 +24,7 @@ from .algebra import LieAlgebra, check_automorphism, check_derivation
 from .exact import to_float
 from .spectral import (
     SpectralData,
+    _dilation_factor,
     generalized_eigenspaces,
     spectral_map,
 )
@@ -185,8 +186,7 @@ def grading_from_automorphism(
     """Layers at t = log|a| / log(lambda) over eigenvalue clusters a of phi,
     with the determinant identity |det phi| = lambda^(sum t dim V_t)
     verified and its relative residual recorded.  g is not read."""
-    if lam <= 0 or lam == 1.0:
-        raise ValueError("automorphism gradings need lambda > 0, lambda != 1")
+    lam = _dilation_factor(lam)
     Pf = to_float(phi)
     if spec is None:
         spec = generalized_eigenspaces(Pf)
@@ -263,8 +263,7 @@ def classify_automorphism(g: LieAlgebra, delta, lam: float) -> ExistenceVerdict:
     lambda > 1 (<= lambda when lambda < 1), and delta is diagonalizable
     on the generalized eigenspaces of modulus exactly lambda.
     """
-    if lam <= 0 or lam == 1.0:
-        raise ValueError("dilation factor must be positive and != 1")
+    lam = _dilation_factor(lam)
     Df = to_float(delta)
     ares = check_automorphism(g, Df)
     loglam = np.log(lam)

@@ -41,7 +41,6 @@ from .ball import (
     NormBall,
     NumericFailure,
     PolyBall,
-    _flat_form,
     _independent_rows,
     ball_from_json,
     ball_to_json,
@@ -366,20 +365,19 @@ def _sample_polytope(ball: PolyBall, count: int, rng: np.random.Generator) -> np
 def sample_in_ball(ball, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """count points drawn uniformly from the ball, read off its flat form.
 
-    In the coordinates W x of its flat form (`ball._flat_form`) every ball
+    In the coordinates W x of its flat form (see `ball.Ball`) every ball
     is a product of round balls, one per level of radius its cap, and at
     most one polytope base, for built, dilated and deserialized balls
     alike.  So each level's round ball is drawn, top-down, then the base,
     and one product with F = W^-T maps them all; a ball whose W is not
     square and invertible cannot be sampled.  A polytope is drawn
     uniformly from the parallelepiped of n independent rows, which
-    contains it, and kept where inside (a box keeps every draw).
+    contains it, and kept where inside (a box keeps every draw); a
+    PolyBall is its own base on W = I.
     """
     if ball.dim != dim:
         raise ValueError(f"ball has dimension {ball.dim}, not {dim}")
-    if isinstance(ball, PolyBall):
-        return _sample_polytope(ball, count, rng)
-    W, starts, caps, base, F = _flat_form(ball)
+    W, starts, caps, base, F = ball.W, ball.starts, ball.caps, ball.base, ball.F
     if F is None:
         raise NumericFailure(f"the {W.shape[0]} x {dim} map of the ball's levels is not invertible")
     # a row per coordinate, so that each level fills a contiguous block

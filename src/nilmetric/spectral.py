@@ -373,6 +373,16 @@ def _dilation_factors(mus) -> np.ndarray:
     return mus
 
 
+def _dilation_factor(lam, *, expanding: bool = False) -> float:
+    """lam as a float; ValueError naming it unless it is finite, positive and
+    != 1, and > 1 when expanding."""
+    lam = float(lam)
+    if not (np.isfinite(lam) and lam > (1.0 if expanding else 0.0) and lam != 1.0):
+        want = "finite and > 1" if expanding else "finite, positive and != 1"
+        raise ValueError(f"dilation factor must be {want}, got {lam}")
+    return lam
+
+
 def lambda_pow(A, lam: float) -> np.ndarray:
     """lam^A = exp(log(lam) * A) for finite lam > 0, float backend, from the
     split that `DilationAction` makes."""

@@ -205,6 +205,31 @@ def test_decompose_needs_lambda(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1", "1"])
+def test_classify_refuses_a_non_factor(capsys, lam):
+    # a NaN factor answered yes and printed "Q": NaN, which is not JSON
+    rc, out, err = run(capsys, "classify", "--catalog", "heisenberg", "--automorphism", "double", "--lambda", lam)
+    assert rc == 2 and out == ""
+    assert "dilation factor must be finite, positive and != 1, got " + str(float(lam)) in err
+
+
+def test_eval_refuses_an_unbounded_ball(tmp_path, capsys):
+    # the base bounds x only, so the whole e2 axis lay at distance 0
+    ball = {
+        "type": "layered", "top_map": [[0.0, 0.0, 1.0]], "cap": 1.0, "proj": [[1.0, 0.0, 0.0]],
+        "inner": {"type": "poly", "rows": [[1.0]]},
+    }
+    bf, pf = tmp_path / "ball.json", tmp_path / "pairs.json"
+    bf.write_text(json.dumps({"ball": ball}))
+    pf.write_text(json.dumps([[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]))
+    rc, out, err = run(
+        capsys, "eval", "--catalog", "heisenberg", "--derivation", "standard",
+        "--ball-file", str(bf), "--pairs", str(pf),
+    )
+    assert rc == 2 and out == ""
+    assert "rank 2 < 3; the ball is unbounded" in err
+
+
 def test_render_circle(tmp_path, capsys):
     csv_path = tmp_path / "s.csv"
     svg_path = tmp_path / "s.svg"

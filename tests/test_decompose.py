@@ -13,7 +13,7 @@ from nilmetric.decompose import (
     decompose_automorphism,
     realify,
 )
-from nilmetric.grading import split_derivation
+from nilmetric.grading import classify_automorphism, grading_from_automorphism, split_derivation
 from nilmetric.metric import (
     AlgebraView,
     HomogeneousDistance,
@@ -21,6 +21,7 @@ from nilmetric.metric import (
     PolyBall,
     SupOverDilations,
     averaged_distance,
+    bilipschitz_constants,
     box_ball,
     build_distance,
 )
@@ -57,6 +58,36 @@ def test_decompose_shear():
 def test_decompose_rejects_lambda_one():
     with pytest.raises(ValueError):
         decompose_automorphism(R2, np.diag([2.0, 4.0]), 1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0, 1.0])
+def test_every_dilation_factor_entry_point_refuses_a_non_factor(lam):
+    # NaN compares false with every number, so it passed the old
+    # `lam <= 0 or lam == 1` checks: classify_automorphism said yes with NaN
+    # weights, and inf made SupOverDilations warn
+    d = HomogeneousDistance(R2V, np.eye(2), box_ball(2))
+    phi = np.diag([2.0, 2.0])
+    calls = {
+        "classify_automorphism": lambda: classify_automorphism(R2, phi, lam),
+        "grading_from_automorphism": lambda: grading_from_automorphism(R2, phi, lam),
+        "decompose_automorphism": lambda: decompose_automorphism(R2, phi, lam),
+        "realify": lambda: realify(R2, d, phi, lam, check_samples=50),
+        "SupOverDilations": lambda: SupOverDilations(d, np.eye(2), lam, 4),
+        "bilipschitz_constants": lambda: bilipschitz_constants(d, d, phi, lam, samples=50),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dilation factor must be .*, got " + re.escape(str(lam))):
+                call()
+
+
+def test_expanding_entry_points_refuse_a_factor_below_one():
+    d = HomogeneousDistance(R2V, np.eye(2), box_ball(2))
+    with pytest.raises(ValueError, match="must be finite and > 1, got 0.5"):
+        SupOverDilations(d, np.eye(2), 0.5, 4)
+    with pytest.raises(ValueError, match="must be finite and > 1, got 0.5"):
+        bilipschitz_constants(d, d, np.diag([0.5, 0.5]), 0.5, samples=50)
 
 
 def test_decompose_rejects_non_automorphism():

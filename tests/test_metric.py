@@ -896,6 +896,46 @@ def test_homogeneous_distance_refuses_an_unbounded_polytope(rows):
         HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall(rows))
 
 
+HEIS_A = np.diag([1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # W = [[0, 0, 1], [1, 0, 0]] and the base reads x only: d(0, e2) was 0
+        lambda: LayeredBall([[0.0, 0.0, 1.0]], 1.0, [[1.0, 0.0, 0.0]], PolyBall([[1.0]])),
+        # W is square and invertible, but the base bounds only x + y
+        lambda: LayeredBall([[0.0, 0.0, 1.0]], 1.0, np.eye(3)[:2], PolyBall([[1.0, 1.0], [2.0, 2.0]])),
+        # refused when the ball is made
+        lambda: LayeredBall([[0.0, 0.0, 1.0]], 1.0, np.eye(3)[:2], NormBall([[1.0, 1.0], [1.0, 1.0]])),
+        lambda: NormBall(np.diag([1.0, 1.0, 0.0])),
+        lambda: NormBall(np.diag([1.0, -1.0, 1.0])),
+    ],
+    ids=["layered-thin-W", "layered-rank-deficient-base", "layered-singular-gram", "singular-gram", "indefinite-gram"],
+)
+def test_homogeneous_distance_refuses_an_unbounded_ball(make):
+    # one boundedness rule for every ball: its round rows and its base's
+    # rows, read on x, span R^n, or the ball is refused
+    with pytest.raises(ValueError, match="unbounded"):
+        HomogeneousDistance(AlgebraView.of(heisenberg()), HEIS_A, make())
+
+
+def test_homogeneous_distance_takes_bounded_layered_polytopes():
+    # a layered ball over the thin {|x| <= 1, |1e-30 y| <= 1} is bounded, and
+    # a tall W that spans R^3 needs no inverse
+    view = AlgebraView.of(heisenberg())
+    thin = LayeredBall([[0.0, 0.0, 1.0]], 1.0, np.eye(3)[:2], PolyBall([[1.0, 0.0], [0.0, 1e-30]]))
+    d = HomogeneousDistance(view, HEIS_A, thin)
+    assert d.gauge(np.array([[0.0, 4e30, 0.0]]))[0] == pytest.approx(4.0, rel=1e-12)
+    tall = LayeredBall(np.eye(3), 1.0, np.eye(3)[:2], NormBall(np.eye(2)))
+    assert tall.F is None
+    assert HomogeneousDistance(view, HEIS_A, tall).gauge(np.array([[0.0, 0.0, 4.0]]))[0] == pytest.approx(2.0)
+    # a large base costs its rows per input row, as a bare polytope does
+    rows = np.random.default_rng(27).normal(size=(1536, 2))
+    big = LayeredBall([[0.0, 0.0, 1.0]], 1.0, np.eye(3)[:2], PolyBall(rows))
+    assert HomogeneousDistance(view, HEIS_A, big).stack_factor == 512
+
+
 def test_homogeneous_distance_takes_a_thin_polytope():
     d = HomogeneousDistance(R2V, 2.0 * np.eye(2), PolyBall([[1.0, 0.0], [0.0, 1e-30]]))
     assert d.gauge(np.array([[0.0, 4e30]]))[0] == pytest.approx(2.0, rel=1e-12)
@@ -1445,7 +1485,7 @@ def test_flat_sampler_matches_the_recursion(sampled_balls, name):
     else:
         ball = sampled_balls[name]
     rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
-    for _ in range(2):  # the second draw reuses the form the first one made
+    for _ in range(2):  # a second draw reads the same stored form
         X = sample_in_ball(ball, ball.dim, 5000, rng)
         Y = _recursive_sample(ball, 5000, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -1454,19 +1494,25 @@ def test_flat_sampler_matches_the_recursion(sampled_balls, name):
 
 
 def _recursive_excess(ball, X):
-    """LayeredBall.excess as a recursion over the levels, one product per
-    level: the reference for the flat membership form."""
+    """excess as a recursion over a layered ball's levels, one product per
+    level, down to sqrt(x^T gram x) - 1 in extended precision for a norm
+    ball and max_i |row_i . x| - 1 for a polytope: the reference for the
+    flat membership form."""
     if isinstance(ball, LayeredBall):
         top = np.linalg.norm(X @ ball.top_map.T, axis=1) / ball.cap - 1.0
         return np.maximum(top, _recursive_excess(ball.inner, X @ ball.proj.T))
-    return ball.excess(X)
+    if isinstance(ball, NormBall):
+        XL = X.astype(np.longdouble)
+        q = np.einsum("mi,ij,mj->m", XL, ball.gram.astype(np.longdouble), XL)
+        return (np.sqrt(q) - 1).astype(float)
+    return np.abs(X @ ball.rows.T).max(axis=1) - 1.0
 
 
 def _recursive_contains(ball, X, slack):
     if isinstance(ball, LayeredBall):
         top_ok = np.linalg.norm(X @ ball.top_map.T, axis=1) <= ball.cap * (1.0 + slack)
         return top_ok & _recursive_contains(ball.inner, X @ ball.proj.T, slack)
-    return ball.contains(X, slack)
+    return _recursive_excess(ball, X) <= slack
 
 
 def _membership_ball(name, sampled_balls, benchmark_balls):
@@ -1475,6 +1521,11 @@ def _membership_ball(name, sampled_balls, benchmark_balls):
     if name == "engel with a halved cap":
         return sampled_balls["engel"].with_cap(sampled_balls["engel"].cap / 2)
     rng = np.random.default_rng(46)
+    if name == "norm ball with an ill-conditioned gram":  # condition number 1e4
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        return NormBall(Q @ np.diag(np.geomspace(1e-4, 1.0, 4)) @ Q.T)
+    if name == "polygon":  # its own base, read off its polar polygon
+        return PolyBall([[1.0, 0.0], [0.5, 0.9], [-0.4, 1.1]])
     if name == "layered over a polygon":
         hexagon = np.array([[1.0, 0.0], [0.5, 0.9], [-0.4, 1.1]])
         inner = LayeredBall([[0.2, 1.0]], 0.8, [[1.0, 0.3]], PolyBall([[1.3]]))
@@ -1494,6 +1545,8 @@ MEMBERSHIP_BALLS = [
     *(f"built {name}" for name in FROZEN_CASES),
     *SAMPLED,
     "engel with a halved cap",
+    "norm ball with an ill-conditioned gram",
+    "polygon",
     "layered over a polygon",
     "layered with a tall [top_map; proj]",
     "layered with a singular [top_map; proj]",
@@ -1502,8 +1555,9 @@ MEMBERSHIP_BALLS = [
 
 @pytest.mark.parametrize("name", MEMBERSHIP_BALLS)
 def test_flat_membership_matches_the_recursion(sampled_balls, benchmark_balls, name):
-    # one product with the composed maps in place of one per level: the
-    # same excess to rounding, and the same membership off the boundary
+    # one product with the composed maps in place of one per level, for
+    # every kind of ball: the same excess to rounding, and the same
+    # membership off the boundary
     balls = _membership_ball(name, sampled_balls, benchmark_balls)
     for ball in balls if isinstance(balls, tuple) else (balls,):
         rng = np.random.default_rng(47)
@@ -1511,7 +1565,7 @@ def test_flat_membership_matches_the_recursion(sampled_balls, benchmark_balls, n
         edge = U / (1.0 + _recursive_excess(ball, U))[:, None]
         scales = np.array([0.0, 0.3, 0.9, 1 - 1e-9, 1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-9, 1.1, 4.0])
         X = np.vstack([U, *(s * edge for s in scales)])
-        for _ in range(2):  # the second test reuses the form the first one made
+        for _ in range(2):  # a second test reads the same stored form
             want = _recursive_excess(ball, X)
             assert np.all(np.abs(ball.excess(X) - want) <= 1e-13)
             for slack in (0.0, 1e-9):
