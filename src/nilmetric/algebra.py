@@ -1,13 +1,16 @@
 """Lie algebras given by rational structure constants.
 
 Structure constants are stored sparsely as c[(i, j)][k] with i < j and
-Fraction coefficients, so antisymmetry is built into the storage.  The
-Jacobi identity (checked at construction time) and the lower central
-series run on one integer tensor, the constants times their common
-denominator, so they stay exact without per-entry Fractions.  Brackets,
-derivation/automorphism checks, ideals and quotients all run in exact
-rational arithmetic whenever the inputs are rational; float inputs fall
-back to residual tests with an explicit tolerance.
+Fraction coefficients, so antisymmetry is built into the storage.  Every
+identity check runs as tensor contractions over all basis pairs at once,
+with one body for both arithmetics: rational inputs run on the integer
+tensor, the constants times their common denominator, with the other
+operands scaled to integers too (int64 when no sum can reach 2**63,
+Python ints otherwise), and are tested for exact zeros; float inputs run
+the same formula on the float tensor against an explicit tolerance.
+This covers the Jacobi identity (checked at construction time), brackets,
+the Leibniz and morphism checks, ideals, quotients and the lower central
+series; spans and ranks come from fraction-free pivot columns.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from .exact import (
     as_exact,
-    coords_in_span,
+    as_integral,
+    exact_eye,
     exact_inv,
-    exact_rank,
     exact_zeros,
     frac,
     format_frac,
@@ -122,7 +125,7 @@ class LieAlgebra:
             for k, c in terms.items():
                 I[i, j, k] = c.numerator * (D // c.denominator)
                 I[j, i, k] = -I[i, j, k]
-        return D, I.astype(np.int64) if np.abs(I).max(initial=0) <= _INT64_MAX else I
+        return D, _as_ints(0, I)[0]
 
     def _check_jacobi(self) -> None:
         # T[a, b, c] = D^2 [e_c, [e_a, e_b]], so the cyclic sum on (i, j, k)
@@ -153,17 +156,12 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """[x, y]; exact when both arguments are rational vectors."""
-        if is_exact(x) and is_exact(y):
-            n = self.dim
-            out = exact_zeros(n)
-            for (i, j), terms in self.brackets.items():
-                coef = x[i] * y[j] - x[j] * y[i]
-                if coef != 0:
-                    for k, c in terms.items():
-                        out[k] = out[k] + coef * c
-            return out
-        xf, yf = to_float(x), to_float(y)
-        return np.einsum("ijk,i,j->k", self._tensor_float, xf, yf)
+        if not (is_exact(x) and is_exact(y)):
+            return np.einsum("ijk,i,j->k", self._tensor_float, to_float(x), to_float(y))
+        (x, dx), (y, dy) = as_integral(x), as_integral(y)
+        bound = self.dim**2 * _absmax(self._tensor_int) * _absmax(x) * _absmax(y)
+        w = np.einsum("ijk,i,j->k", *_as_ints(bound, self._tensor_int, x, y))
+        return _fractions(w, self._scale * dx * dy)
 
     @cached_property
     def _series(self) -> list[np.ndarray]:
@@ -202,29 +200,29 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
 
+def _absmax(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
+def _as_ints(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The integer arrays in int64 when every result computed from them,
+    at most `bound` in size, fits in it; in Python ints otherwise.  The
+    bound has a factor of each array's largest entry, so it bounds the
+    entries too unless it is 0; then the entries decide."""
+    dtype = np.int64 if (bound or max(map(_absmax, arrays))) <= _INT64_MAX else object
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _fractions(N: np.ndarray, den: int) -> np.ndarray:
+    """The integer array N / den as Fractions."""
+    return np.array([Fraction(int(x), den) for x in N.flat], dtype=object).reshape(N.shape)
+
+
 def _int_tensordot(a: np.ndarray, b: np.ndarray, axes, terms: int = 1) -> np.ndarray:
     """np.tensordot of two integer arrays, exact: in int64 when a sum of
     `terms` results cannot reach 2**63 in size, in Python ints otherwise."""
     length = math.prod(a.shape[x] for x in axes[0])
-    bound = terms * length * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    return np.tensordot(a.astype(dtype, copy=False), b.astype(dtype, copy=False), axes)
-
-
-def _exact_column_space(M: np.ndarray) -> np.ndarray:
-    """Independent columns spanning the column space of M, exact."""
-    from .exact import exact_rref
-
-    if M.shape[1] == 0:
-        return M
-    _, pivots = exact_rref(M.copy())
-    return M[:, pivots].copy()
-
-
-def _pair_iter(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
+    return np.tensordot(*_as_ints(terms * length * _absmax(a) * _absmax(b), a, b), axes)
 
 
 def check_derivation(g: LieAlgebra, A, tol: float = FLOAT_LEIBNIZ_TOL) -> CheckResult:
@@ -233,80 +231,75 @@ def check_derivation(g: LieAlgebra, A, tol: float = FLOAT_LEIBNIZ_TOL) -> CheckR
     Exact when A is rational; float matrices are accepted with a
     residual tolerance relative to the size of A.
     """
-    exact = is_exact(A) or _looks_rational(A)
-    if exact and not is_exact(A):
-        A = as_exact(A)
-    if exact:
-        for i, j in _pair_iter(g.dim):
-            lhs = g.bracket(A @ g.basis_vector(i), g.basis_vector(j)) + g.bracket(
-                g.basis_vector(i), A @ g.basis_vector(j)
-            )
-            rhs = A @ g.bracket(g.basis_vector(i), g.basis_vector(j))
-            diff = lhs - rhs
-            if any(x != 0 for x in diff):
-                return CheckResult(
-                    False,
-                    (i, j),
-                    f"Leibniz fails on (e{i + 1}, e{j + 1}): "
-                    f"A[x,y] - [Ax,y] - [x,Ay] = {[format_frac(x) for x in diff]}",
-                )
-        return CheckResult(True)
-    Af = to_float(A)
-    scale = max(1.0, np.linalg.norm(Af, 2))
-    # [A e_i, e_j] + [e_i, A e_j] - A [e_i, e_j] for every pair at once
-    C = g.tensor
-    D = np.einsum("ai,ajk->ijk", Af, C) + np.einsum("bj,ibk->ijk", Af, C) - C @ Af.T
-    worst, where = _worst_pair(D)
-    if worst > tol * scale:
-        return CheckResult(
-            False, where, f"Leibniz residual {worst:.2e} at basis pair {where}", worst
-        )
-    return CheckResult(True, residual=worst)
+    return _pair_check(g, A, tol, 1)
 
 
 def check_automorphism(g: LieAlgebra, phi, tol: float = FLOAT_LEIBNIZ_TOL) -> CheckResult:
-    """phi[x,y] = [phi x, phi y] on basis pairs; singular phi is rejected."""
-    exact = is_exact(phi) or _looks_rational(phi)
-    if exact and not is_exact(phi):
-        phi = as_exact(phi)
+    """phi[x,y] = [phi x, phi y] on basis pairs; singular phi is rejected.
+
+    Exact when phi is rational; float matrices are accepted with a
+    residual tolerance relative to the size of phi squared, and are
+    singular when their smallest singular value is at most n eps times
+    the largest.
+    """
+    return _pair_check(g, phi, tol, 2)
+
+
+def _pair_check(g: LieAlgebra, M, tol: float, degree: int) -> CheckResult:
+    """The Leibniz (degree 1) or morphism (degree 2) identity of M on every
+    basis pair at once, one formula for both arithmetics.  Rational M runs
+    on the integer tensor D C with M times its common denominator d, so the
+    residual is D d^degree times the true one and is tested for exact
+    zeros; float M runs on the float tensor against tol times |M|^degree.
+    Either way the witness is the pair of largest residual norm."""
+    n = g.dim
+    exact = _looks_rational(M)
     if exact:
-        if exact_rank(phi.copy()) < g.dim:
-            raise ValueError("automorphism candidate is singular")
-        for i, j in _pair_iter(g.dim):
-            lhs = g.bracket(phi @ g.basis_vector(i), phi @ g.basis_vector(j))
-            rhs = phi @ g.bracket(g.basis_vector(i), g.basis_vector(j))
-            diff = lhs - rhs
-            if any(x != 0 for x in diff):
-                return CheckResult(
-                    False,
-                    (i, j),
-                    f"morphism identity fails on (e{i + 1}, e{j + 1}): "
-                    f"[phi x, phi y] - phi[x,y] = {[format_frac(x) for x in diff]}",
-                )
-        return CheckResult(True)
-    Pf = to_float(phi)
-    if abs(np.linalg.det(Pf)) < 1e-12:
+        M, d = as_integral(M)
+        # a residual entry sums at most n^2 + n products of an entry of the
+        # tensor and two entries of M or d
+        bound = (n * n + n) * _absmax(g._tensor_int) * max(_absmax(M), d) ** 2
+        C, M = _as_ints(bound, g._tensor_int, M)
+        den = g._scale * d**degree
+        singular = degree == 2 and len(int_pivot_columns(M)) < n
+    else:
+        C, M, d = g.tensor, to_float(M), 1
+        s = np.linalg.svd(M, compute_uv=False)
+        smax = s.max(initial=0.0)
+        singular = degree == 2 and s.min(initial=np.inf) <= n * np.finfo(float).eps * smax
+    if singular:
         raise ValueError("automorphism candidate is singular")
-    scale = max(1.0, np.linalg.norm(Pf, 2)) ** 2
-    # [phi e_i, phi e_j] - phi [e_i, e_j] for every pair at once
-    C = g.tensor
-    D = np.einsum("bj,ibk->ijk", Pf, np.einsum("ai,abk->ibk", Pf, C)) - C @ Pf.T
-    worst, where = _worst_pair(D)
-    if worst > tol * scale:
+    if degree == 1:
+        # [M e_i, e_j] + [e_i, M e_j] - M [e_i, e_j] for every pair at once
+        D = np.einsum("ai,ajk->ijk", M, C) + np.einsum("bj,ibk->ijk", M, C) - C @ M.T
+        what, fails = "Leibniz", "Leibniz fails on (e{}, e{}): [Ax,y] + [x,Ay] - A[x,y] = {}"
+    else:
+        # [M e_i, M e_j] - d M [e_i, e_j] for every pair at once
+        D = np.einsum("bj,ibk->ijk", M, np.einsum("ai,abk->ibk", M, C)) - d * (C @ M.T)
+        what, fails = "morphism", "morphism identity fails on (e{}, e{}): [phi x, phi y] - phi[x,y] = {}"
+    R = np.linalg.norm(to_float(D), axis=2)
+    where = _worst_pair(R)
+    if exact:
+        if where is None:
+            return CheckResult(True)
+        i, j = where
+        w = _fractions(D[i, j], den)
+        message = fails.format(i + 1, j + 1, [format_frac(x) for x in w])
+        return CheckResult(False, where, message, float(np.linalg.norm(to_float(w))))
+    worst = 0.0 if where is None else float(R[where])
+    if worst > tol * max(1.0, smax) ** degree:
         return CheckResult(
-            False, where, f"morphism residual {worst:.2e} at basis pair {where}", worst
+            False, where, f"{what} residual {worst:.2e} at basis pair {where}", worst
         )
     return CheckResult(True, residual=worst)
 
 
-def _worst_pair(D: np.ndarray):
-    """(worst, where): the largest residual norm |D[i, j]| over basis pairs
-    i < j and the first pair, in `_pair_iter` order, that attains it
-    (where is None when every residual is 0)."""
-    n = D.shape[0]
-    R = np.where(np.triu(np.ones((n, n), dtype=bool), 1), np.linalg.norm(D, axis=2), 0.0)
-    worst = float(R.max(initial=0.0))
-    return (worst, divmod(int(np.argmax(R)), n)) if worst > 0 else (0.0, None)
+def _worst_pair(R: np.ndarray):
+    """The basis pair i < j of largest size R[i, j], the first in row order
+    among equals; None when every size is 0."""
+    n = R.shape[0]
+    R = np.where(np.triu(np.ones((n, n), dtype=bool), 1), R, 0.0)
+    return divmod(int(np.argmax(R)), n) if R.max(initial=0.0) > 0 else None
 
 
 def _looks_rational(M) -> bool:
@@ -319,65 +312,56 @@ def _looks_rational(M) -> bool:
 
 
 def is_ideal(g: LieAlgebra, basis_cols: np.ndarray) -> CheckResult:
-    """Exact check that [g, span(basis)] lies in span(basis)."""
-    H = basis_cols if is_exact(basis_cols) else as_exact(basis_cols)
-    for i in range(g.dim):
-        ei = g.basis_vector(i)
-        for j in range(H.shape[1]):
-            w = g.bracket(ei, H[:, j])
-            if coords_in_span(H, w) is None:
-                return CheckResult(
-                    False,
-                    (i, j),
-                    f"[e{i + 1}, h_{j + 1}] leaves the span: "
-                    f"{[format_frac(x) for x in w]}",
-                )
-    return CheckResult(True)
+    """Exact check that [g, span(basis)] lies in span(basis).
+
+    The brackets [e_i, h_j] are one contraction of the integer tensor,
+    taken as columns in the order (i, j); the first one outside the span
+    is the first pivot column of [H | brackets] past H."""
+    H, d = as_integral(basis_cols)
+    n, k = H.shape
+    B = _int_tensordot(g._tensor_int, H, ([1], [0])).transpose(1, 0, 2).reshape(n, n * k)
+    nonzero = np.flatnonzero((B != 0).any(axis=0))  # a zero column is never a pivot
+    past = [c - k for c in int_pivot_columns(np.hstack([H, B[:, nonzero]])) if c >= k]
+    if not past:
+        return CheckResult(True)
+    col = int(nonzero[past[0]])
+    i, j = divmod(col, k)
+    w = _fractions(B[:, col], g._scale * d)
+    return CheckResult(
+        False, (i, j), f"[e{i + 1}, h_{j + 1}] leaves the span: {[format_frac(x) for x in w]}"
+    )
 
 
 def quotient(g: LieAlgebra, ideal_basis) -> tuple[LieAlgebra, np.ndarray, np.ndarray]:
     """Quotient algebra by an ideal, with projection and section.
 
-    Returns (g_hat, proj, section): proj is m x n with proj @ section = I,
-    structure constants on the complement basis picked by greedy pivoting
-    over the standard basis vectors (deterministic coordinates).
+    Returns (g_hat, proj, section): proj is m x n with proj @ section = I.
+    The section's columns are the standard axes outside the span of the
+    ideal and of the axes before them, the pivot columns of [H | I] past
+    H, so the coordinates are deterministic.
     """
-    H = ideal_basis if is_exact(ideal_basis) else as_exact(ideal_basis)
+    H = as_exact(ideal_basis)
     if H.ndim == 1:
         H = H.reshape(g.dim, 1)
     chk = is_ideal(g, H)
     if not chk:
         raise ValueError(f"not an ideal: {chk.message}")
-    n = g.dim
-    Hi = _exact_column_space(H)
-    h_rank = Hi.shape[1]
-    # Greedy pivot: extend the ideal basis by standard basis vectors.
-    chosen: list[int] = []
-    span = Hi.copy()
-    rank = h_rank
-    for i in range(n):
-        cand = np.hstack([span, g.basis_vector(i).reshape(n, 1)])
-        r = exact_rank(cand.copy())
-        if r > rank:
-            chosen.append(i)
-            span, rank = cand, r
+    n, k = H.shape
+    pivots = int_pivot_columns(np.hstack([as_integral(H)[0], np.eye(n, dtype=np.int64)]))
+    h_cols = [c for c in pivots if c < k]
+    chosen = [c - k for c in pivots if c >= k]
     m = len(chosen)
-    if m + h_rank != n:
-        raise RuntimeError("complement construction failed to reach full rank")
-    section = exact_zeros((n, m))
-    for col, i in enumerate(chosen):
-        section[i, col] = Fraction(1)
+    section = exact_eye(n)[:, chosen]
     # proj = first m rows of [section | ideal]^(-1)
-    full = np.hstack([section, Hi])
-    proj = exact_inv(full)[:m, :]
+    proj = exact_inv(np.hstack([section, H[:, h_cols]]))[:m, :]
+    # proj [e_a, e_b] over the chosen axes a, b, one contraction
+    P, dp = as_integral(proj)
+    T = _int_tensordot(g._tensor_int[np.ix_(chosen, chosen)], P, ([2], [1]))
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = proj @ g.bracket(section[:, a], section[:, b])
-            terms = {k: w[k] for k in range(m) if w[k] != 0}
-            if terms:
-                table[(a, b)] = terms
-    name = f"{g.name}/ideal{h_rank}"
+    for a, b, c in np.argwhere(T != 0):
+        if a < b:
+            table.setdefault((int(a), int(b)), {})[int(c)] = Fraction(int(T[a, b, c]), g._scale * dp)
+    name = f"{g.name}/ideal{len(h_cols)}"
     return LieAlgebra(m, table, name=name), proj, section
 
 

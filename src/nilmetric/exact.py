@@ -9,6 +9,7 @@ of structure-constant computations (n well below 100).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 __all__ = [
     "frac",
     "as_exact",
+    "as_integral",
     "is_exact",
     "to_float",
     "exact_eye",
@@ -24,9 +26,7 @@ __all__ = [
     "exact_rank",
     "int_pivot_columns",
     "exact_kernel",
-    "exact_solve",
     "exact_inv",
-    "coords_in_span",
     "nilpotency_index",
     "expm_nilpotent",
     "format_frac",
@@ -60,6 +60,15 @@ def as_exact(data) -> np.ndarray:
     for i, v in enumerate(flat):
         flat[i] = frac(v)
     return flat.reshape(arr.shape)
+
+
+def as_integral(data) -> tuple[np.ndarray, int]:
+    """(N, d) for a rational array M: d the common denominator of its
+    entries and N = d M, an object array of Python ints."""
+    Q = as_exact(data)
+    d = math.lcm(1, *(q.denominator for q in Q.flat))
+    N = np.array([q.numerator * (d // q.denominator) for q in Q.flat], dtype=object)
+    return N.reshape(Q.shape), d
 
 
 def is_exact(arr) -> bool:
@@ -151,21 +160,6 @@ def exact_kernel(M: np.ndarray) -> np.ndarray:
     return basis
 
 
-def exact_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of A x = b, or None if inconsistent."""
-    rows, cols = A.shape
-    aug = exact_zeros((rows, cols + 1))
-    aug[:, :cols] = A
-    aug[:, cols] = b
-    R, pivots = exact_rref(aug)
-    if cols in pivots:
-        return None
-    x = exact_zeros(cols)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, cols]
-    return x
-
-
 def exact_inv(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     aug = exact_zeros((n, 2 * n))
@@ -175,13 +169,6 @@ def exact_inv(M: np.ndarray) -> np.ndarray:
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular over the rationals")
     return R[:, n:]
-
-
-def coords_in_span(basis: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Coefficients of v in the given column span, or None if v lies outside."""
-    if basis.shape[1] == 0:
-        return None if any(x != 0 for x in v) else exact_zeros(0)
-    return exact_solve(basis, v)
 
 
 def _is_zero(M: np.ndarray) -> bool:

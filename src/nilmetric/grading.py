@@ -76,21 +76,15 @@ class Grading:
 
     def bracket_closure_residual(self, g: LieAlgebra) -> float:
         """Worst projection residual of [V_t, V_s] outside V_{t+s}."""
-        n = g.dim
         worst = 0.0
         for lt in self.layers:
             for ls in self.layers:
+                # the brackets of every pair of basis vectors of V_t and V_s
+                W = np.einsum("ijk,ia,jb->abk", g.tensor, lt.basis, ls.basis)
                 target = self.layer_at(lt.weight + ls.weight)
-                P = (
-                    target.basis @ target.basis.T
-                    if target is not None
-                    else np.zeros((n, n))
-                )
-                for a in range(lt.dim):
-                    for b in range(ls.dim):
-                        w = g.bracket(lt.basis[:, a], ls.basis[:, b])
-                        resid = np.linalg.norm(w - P @ w)
-                        worst = max(worst, float(resid))
+                if target is not None:
+                    W = W - W @ target.basis @ target.basis.T
+                worst = max(worst, float(np.linalg.norm(W, axis=2).max(initial=0.0)))
         return worst
 
 

@@ -16,12 +16,22 @@ from nilmetric.algebra import (
     engel,
     heisenberg,
     induced_on_quotient,
+    is_ideal,
     quotient,
     rototranslation,
 )
 from nilmetric.catalog import CATALOG
-from nilmetric.exact import as_exact, exact_eye, exact_inv, exact_rref, format_frac
-from nilmetric.grading import grading_from_derivation
+from nilmetric.exact import (
+    as_exact,
+    exact_eye,
+    exact_inv,
+    exact_rank,
+    exact_rref,
+    expm_nilpotent,
+    format_frac,
+    to_float,
+)
+from nilmetric.grading import classify_automorphism, grading_from_derivation
 from nilmetric.spectral import generalized_eigenspaces
 
 
@@ -64,6 +74,17 @@ def test_check_derivation_heisenberg():
     assert not res and res.witness == (0, 1)
 
 
+def test_exact_leibniz_message_prints_its_label():
+    # A = I on (e1, e2): [Ax,y] + [x,Ay] - A[x,y] = e3 + e3 - e3 = e3
+    res = check_derivation(heisenberg(), as_exact(np.eye(3, dtype=int)))
+    assert res.message == "Leibniz fails on (e1, e2): [Ax,y] + [x,Ay] - A[x,y] = ['0', '0', '1']"
+    assert res.residual == 1.0
+    # phi = 2I on (e1, e2): [phi x, phi y] - phi[x,y] = 4 e3 - 2 e3 = 2 e3
+    res = check_automorphism(heisenberg(), as_exact(2 * np.eye(3, dtype=int)))
+    assert res.message == "morphism identity fails on (e1, e2): [phi x, phi y] - phi[x,y] = ['0', '0', '2']"
+    assert res.residual == 2.0
+
+
 def test_check_derivation_rototranslation():
     r = rototranslation()
     assert check_derivation(r, as_exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
@@ -77,6 +98,23 @@ def test_check_automorphism_heisenberg():
     assert not res and res.witness == (0, 1)
     with pytest.raises(ValueError, match="singular"):
         check_automorphism(h, np.zeros((3, 3)))
+
+
+def test_automorphism_singularity_is_scale_free():
+    # invertible maps of small determinant are automorphisms
+    for g, phi, lam in (
+        (abelian(3), 1e-5 * np.eye(3), 1e-5),
+        (abelian(4), 1e-4 * np.eye(4), 1e-4),
+        (heisenberg(), np.diag([5e-4, 5e-4, 2.5e-7]), 5e-4),
+    ):
+        assert check_automorphism(g, phi)
+        assert classify_automorphism(g, phi, lam).answer
+    rank2 = as_exact([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    for phi in (np.diag([1.0, 0.0, 0.0]), as_exact(np.diag([1, 0, 0])), rank2):
+        with pytest.raises(ValueError, match="singular"):
+            check_automorphism(heisenberg(), phi)
+    with pytest.raises(ValueError, match="singular"):
+        classify_automorphism(heisenberg(), np.diag([1.0, 0.0, 0.0]), 2.0)
 
 
 def test_quotient_heisenberg_center():
@@ -418,3 +456,176 @@ def test_float_pair_checks_match_the_loop(automorphism):
         kinds.add((res.ok, worst == 0.0))
     # accepted exactly, accepted within the tolerance, and rejected
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _fraction_bracket(g, x, y):
+    """[x, y] from the sparse Fraction constants, one term at a time."""
+    out = [Fraction(0)] * g.dim
+    for (i, j), terms in g.brackets.items():
+        coef = x[i] * y[j] - x[j] * y[i]
+        for k, c in terms.items():
+            out[k] += coef * c
+    return np.array(out, dtype=object)
+
+
+def _exact_pair_loop_reference(g, M, automorphism):
+    """The exact Leibniz or morphism check as a loop over basis pairs,
+    three Fraction brackets a pair: the worst residual norm, its first
+    pair and the residual vector there."""
+    eye = exact_eye(g.dim)
+    worst, where, vec = 0.0, None, None
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            ei, ej = eye[:, i], eye[:, j]
+            if automorphism:
+                diff = _fraction_bracket(g, M @ ei, M @ ej) - M @ _fraction_bracket(g, ei, ej)
+            else:
+                diff = (
+                    _fraction_bracket(g, M @ ei, ej)
+                    + _fraction_bracket(g, ei, M @ ej)
+                    - M @ _fraction_bracket(g, ei, ej)
+                )
+            r = float(np.linalg.norm(to_float(diff)))
+            if r > worst:
+                worst, where, vec = r, (i, j), diff
+    return worst, where, vec
+
+
+def _exact_check_cases():
+    """The algebras of the float cases, and Engel's with 2**70-sized
+    constants, with integer and p/q matrices: 0 (a derivation of each), I
+    (an automorphism of each), 2 I, the diagonal grading, random integer
+    matrices and invertible p/q matrices, one with 2**40-sized entries."""
+    rng = np.random.default_rng(62)
+    huge = LieAlgebra(4, _changed_table(engel(), *_rational_basis(rng, 4, [Fraction(2**70, 3)] * 4)))
+    for g in list({g.name: g for g, _ in _float_check_cases()}.values()) + [huge]:
+        n = g.dim
+        mats = [np.zeros((n, n), dtype=int), np.eye(n, dtype=int), 2 * np.eye(n, dtype=int)]
+        mats.append(np.diag(np.arange(1, n + 1)))
+        mats += [rng.integers(-3, 4, size=(n, n)) for _ in range(2)]
+        mats += [_rational_basis(rng, n)[0] for _ in range(2)]
+        mats.append(_rational_basis(rng, n, [Fraction(2**40, 7)] * n)[0])
+        for M in mats:
+            yield g, M
+
+
+@pytest.mark.parametrize("automorphism", [False, True])
+def test_exact_pair_checks_match_the_fraction_loop(automorphism):
+    check = check_automorphism if automorphism else check_derivation
+    kinds = set()
+    for g, M in _exact_check_cases():
+        Q = as_exact(M)
+        if automorphism and exact_rank(Q.copy()) < g.dim:
+            with pytest.raises(ValueError, match="singular"):
+                check(g, M)
+            kinds.add("singular")
+            continue
+        worst, where, vec = _exact_pair_loop_reference(g, Q, automorphism)
+        res = check(g, M)
+        assert res.ok == (where is None), (g.name, M)
+        assert res.witness == where and res.residual == worst, (g.name, M)
+        if res.ok:
+            assert res.message == ""
+        else:
+            assert res.message.endswith(f" = {[format_frac(x) for x in vec]}"), (g.name, M)
+            what = "morphism identity" if automorphism else "Leibniz"
+            assert res.message.startswith(f"{what} fails on (e{where[0] + 1}, e{where[1] + 1}): ")
+        kinds.add(res.ok)
+    assert kinds == ({True, False, "singular"} if automorphism else {True, False})
+
+
+def test_bracket_matches_the_fraction_terms():
+    rng = np.random.default_rng(63)
+    for g in _series_cases():
+        for _ in range(3):
+            x, y = (
+                as_exact([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8))) for _ in range(g.dim)])
+                for _ in range(2)
+            )
+            got = g.bracket(x, y)
+            assert all(type(a) is Fraction and a == b for a, b in zip(got, _fraction_bracket(g, x, y)))
+            assert np.allclose(g.bracket(to_float(x), to_float(y)), to_float(got))
+
+
+def _ideal_reference(g, H):
+    """is_ideal as a loop: the first [e_i, h_j] outside span(H), by rank."""
+    rank = exact_rank(H.copy())
+    for i in range(g.dim):
+        for j in range(H.shape[1]):
+            w = _fraction_bracket(g, exact_eye(g.dim)[:, i], H[:, j])
+            if exact_rank(np.hstack([H, w.reshape(-1, 1)])) > rank:
+                return (i, j), f"[e{i + 1}, h_{j + 1}] leaves the span: {[format_frac(x) for x in w]}"
+    return None, ""
+
+
+def _quotient_reference(g, H):
+    """The quotient with the ideal's pivot columns extended greedily by
+    the standard axes, one exact rank per axis."""
+    n = g.dim
+    Hi = H[:, exact_rref(H.copy())[1]]
+    chosen, span = [], Hi
+    for i in range(n):
+        cand = np.hstack([span, exact_eye(n)[:, [i]]])
+        if exact_rank(cand.copy()) > span.shape[1]:
+            chosen.append(i)
+            span = cand
+    m = len(chosen)
+    section = exact_eye(n)[:, chosen]
+    proj = exact_inv(np.hstack([section, Hi]))[:m, :]
+    table = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            w = proj @ _fraction_bracket(g, section[:, a], section[:, b])
+            terms = {k: w[k] for k in range(m) if w[k] != 0}
+            if terms:
+                table[(a, b)] = terms
+    return table, proj, section
+
+
+def _same_fractions(A, B):
+    return A.shape == B.shape and all(type(a) is Fraction and a == b for a, b in zip(A.flat, B.flat))
+
+
+def _ideal_cases():
+    """The algebras of the float checks and of the catalog, and the series
+    cases in rational bases (named lie<dim>)."""
+    yield from {g.name: g for g, _ in _float_check_cases()}.values()
+    yield from (entry.algebra for entry in CATALOG.values())
+    yield from (g for g in _series_cases() if g.name.startswith("lie"))
+
+
+def test_ideals_and_quotients_match_the_greedy_reference():
+    seen = set()
+    for g in _ideal_cases():
+        e1 = exact_eye(g.dim)[:, [0]]
+        for H in g.lower_central_series() + [e1]:
+            where, message = _ideal_reference(g, H)
+            res = is_ideal(g, H)
+            assert (res.ok, res.witness, res.message) == (where is None, where, message), g.name
+            seen.add(res.ok)
+            if not res.ok:
+                with pytest.raises(ValueError, match="not an ideal"):
+                    quotient(g, H)
+                continue
+            q, proj, section = quotient(g, H)
+            table, proj_ref, section_ref = _quotient_reference(g, H)
+            assert _same_fractions(proj, proj_ref) and _same_fractions(section, section_ref), g.name
+            assert q.brackets == table and all(
+                type(c) is Fraction for terms in q.brackets.values() for c in terms.values()
+            )
+    assert seen == {True, False}
+
+
+def test_exact_filiform14_checks():
+    g = _filiform(14)
+    grading = np.diag([1, 1] + list(range(2, 14)))
+    assert check_derivation(g, grading)
+    assert check_automorphism(g, np.diag([2, 2] + [2**k for k in range(2, 14)]))
+    halves = [Fraction(1, 2)] * 2 + [Fraction(1, 2**k) for k in range(2, 14)]
+    assert check_automorphism(g, as_exact(np.diag(halves)))
+    rng = np.random.default_rng(64)
+    x = as_exact([Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(14)])
+    ad = np.einsum("i,ijk->kj", x, g.tensor_exact)  # ad_x, an inner derivation
+    assert check_derivation(g, ad) and check_derivation(g, ad + grading)
+    assert check_automorphism(g, expm_nilpotent(ad))
+    assert not check_derivation(g, np.eye(14, dtype=int))

@@ -5,7 +5,7 @@ import pytest
 
 from nilmetric.exact import (
     as_exact,
-    coords_in_span,
+    as_integral,
     exact_eye,
     exact_inv,
     exact_kernel,
@@ -49,13 +49,13 @@ def test_inverse_roundtrip():
         exact_inv(as_exact([[1, 2], [2, 4]]))
 
 
-def test_coords_in_span():
-    basis = as_exact([[1, 0], [0, 1], [1, 1]]).T.copy()
-    basis = as_exact([[1, 0, 1], [0, 1, 1]]).T
-    v = as_exact([2, 3, 5])
-    c = coords_in_span(basis, v)
-    assert c is not None and list(c) == [Fraction(2), Fraction(3)]
-    assert coords_in_span(basis, as_exact([0, 0, 1])) is None
+def test_as_integral():
+    N, d = as_integral(as_exact([["1/2", "-2/3"], [0, 5]]))
+    assert d == 6 and N.dtype == object
+    assert [[type(x) for x in row] for row in N] == [[int, int], [int, int]]
+    assert N.tolist() == [[3, -4], [0, 30]]
+    N, d = as_integral(np.zeros((3, 0), dtype=int))
+    assert d == 1 and N.shape == (3, 0)
 
 
 def test_nilpotency_index():
